@@ -14,12 +14,12 @@ from .measurement import (ConfigReport, InsufficientLandmarks, LandmarkMap,
                           LandmarkObservation, MeasurementSummary,
                           UnknownLandmarkId, aggregate, check_configuration,
                           synthesize_observation)
-from .observer import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY,
-                       Correction, Gains, Metrics, ModeError, NonFiniteState,
-                       ObserverState, QuatObserverState, UnstableSetWarning,
+from .observer import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
+                       QUATERNION, Correction, Gains, Metrics, ModeError,
+                       NonFiniteState, ObserverState, UnstableSetWarning,
                        compute_corrections, correct, correct_quaternion,
                        error_metrics, gravity_step, predict,
-                       predict_quaternion, sigma_step, step, step_quaternion)
+                       predict_quaternion, sigma_step, step)
 from .quaternion import (NonUnitQuaternion, quat_from_rotvec, quat_product,
                          quat_to_rot, rot_to_quat)
 from .simulator import (ImuSample, InitError, NoiseSpec, RunResult, Scenario,
@@ -33,10 +33,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ADAPTIVE_GRAVITY", "ConfigReport", "Correction", "GRAVITY_ENU", "Gains",
     "ImuSample", "InitError", "InsufficientLandmarks", "KNOWN_GRAVITY",
-    "LandmarkMap", "LandmarkObservation", "MeasurementSummary", "Metrics",
-    "ModeError", "NavState", "NavTangent", "NoiseSpec", "NonFiniteState",
-    "NonUnitQuaternion", "NotSkewSymmetric", "ObserverState",
-    "QuatObserverState", "RunResult", "Scenario", "TrajectorySpec",
+    "LandmarkMap", "LandmarkObservation", "MATRIX", "MeasurementSummary",
+    "Metrics", "ModeError", "NavState", "NavTangent", "NoiseSpec",
+    "NonFiniteState", "NonUnitQuaternion", "NotSkewSymmetric",
+    "ObserverState", "QUATERNION", "RunResult", "Scenario", "TrajectorySpec",
     "TruthSample", "UnknownLandmarkId", "UnstableSetWarning", "aggregate",
     "apply_init_error", "build_streams", "check_configuration",
     "compute_corrections", "correct", "correct_quaternion",
@@ -45,6 +45,6 @@ __all__ = [
     "predict_quaternion", "quat_from_rotvec", "quat_product", "quat_to_rot",
     "rodrigues_exp", "rot_to_quat", "run_closed_loop", "run_scenario",
     "se23_exp", "se23_exp_closed", "sigma_step", "skew", "so3_distance",
-    "so3_gammas", "step", "step_quaternion", "summarize",
+    "so3_gammas", "step", "summarize",
     "synthesize_observation", "vex", "vex_antisym",
 ]

@@ -26,10 +26,10 @@ from . import dataio
 from .liegroup import NotSkewSymmetric
 from .measurement import (InsufficientLandmarks, UnknownLandmarkId,
                           check_configuration, sym3_eigvals)
-from .observer import (ADAPTIVE_GRAVITY, KNOWN_GRAVITY, ModeError,
-                       NonFiniteState, inject_w_omega_sign_fault)
+from .observer import (QUATERNION, ModeError, NonFiniteState,
+                       inject_w_omega_sign_fault)
 from .quaternion import NonUnitQuaternion
-from .simulator import (QUATERNION, apply_init_error, build_streams,
+from .simulator import (ATT_CONVERGED, apply_init_error, build_streams,
                         default_scenario, generate_truth, hover_scenario,
                         run_closed_loop, run_scenario, summarize)
 
@@ -38,12 +38,6 @@ EXIT_SELFTEST = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_IO = 4
-
-_MODE_FLAGS = {
-    "known-gravity": KNOWN_GRAVITY,
-    "adaptive-gravity": ADAPTIVE_GRAVITY,
-    "both": dataio.BOTH_GRAVITY,
-}
 
 _RUNTIME_ERRORS = (NonFiniteState, ModeError, InsufficientLandmarks,
                    UnknownLandmarkId, NotSkewSymmetric, NonUnitQuaternion)
@@ -61,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-dir", required=True,
                      help="directory to write the run into")
     sim.add_argument("--seed", type=int, help="override the noise seed")
-    sim.add_argument("--mode", choices=sorted(_MODE_FLAGS),
+    sim.add_argument("--mode", choices=dataio.GRAVITY_MODES,
                      help="override the gravity handling mode")
     sim.add_argument("--quick", action="store_true",
                      help="cap the duration at 10 seconds")
@@ -98,7 +92,7 @@ def _print_mode_summary(mode: str, result) -> None:
     if t_conv is None:
         print("  attitude never dropped below the convergence threshold")
     else:
-        print(f"  attitude converged (< {0.01:g}) at t = {t_conv:.6g} s")
+        print(f"  attitude converged (< {ATT_CONVERGED:g}) at t = {t_conv:.6g} s")
 
 
 def _print_estimate_summary(mode: str, result) -> None:
@@ -116,7 +110,7 @@ def _load_config_for(args) -> dataio.RunConfig:
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "mode", None):
-        overrides["gravity_mode"] = _MODE_FLAGS[args.mode]
+        overrides["gravity_mode"] = args.mode
     if getattr(args, "quick", False):
         overrides["duration"] = min(cfg.duration, 10.0)
     if overrides:
@@ -143,21 +137,37 @@ class _AssumptionViolation(RuntimeError):
     pass
 
 
+# Exit code of each anticipated failure, per phase of a run; first match wins.
+_CONFIG_FAILURES = (((dataio.ParseError, dataio.ValidationError), EXIT_CONFIG),
+                    (OSError, EXIT_IO))
+_INPUT_FAILURES = (((InsufficientLandmarks, UnknownLandmarkId), EXIT_RUNTIME),
+                   ((dataio.ParseError, dataio.EmptyStream, OSError, ValueError),
+                    EXIT_IO))
+_RUN_FAILURES = (((_AssumptionViolation,) + _RUNTIME_ERRORS, EXIT_RUNTIME),
+                 (OSError, EXIT_IO),
+                 (ValueError, EXIT_RUNTIME))
+
+
+def _fail(error: Exception, table) -> int:
+    """Report ``error`` and return the exit code ``table`` gives it; an error
+    the table does not name propagates."""
+    for types, code in table:
+        if isinstance(error, types):
+            print(f"error: {error}", file=sys.stderr)
+            return code
+    raise error
+
+
 def run_simulate(args) -> int:
     try:
         cfg = _load_config_for(args)
-    except (dataio.ParseError, dataio.ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as e:
+        return _fail(e, _CONFIG_FAILURES)
 
     try:
         lmap = _load_map(cfg, args.config)
-    except (dataio.ParseError, dataio.EmptyStream, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as e:
+        return _fail(e, _INPUT_FAILURES)
 
     try:
         _require_usable_map(lmap)
@@ -186,43 +196,24 @@ def run_simulate(args) -> int:
             print(f"  wrote {out / name}")
         print(f"run recorded in {out}")
         return EXIT_OK
-    except _AssumptionViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except _RUNTIME_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except Exception as e:
+        return _fail(e, _RUN_FAILURES)
 
 
 def run_replay(args) -> int:
     out = Path(args.out_dir)
     try:
         cfg = dataio.parse_config(out / "config.txt")
-    except (dataio.ParseError, dataio.ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as e:
+        return _fail(e, _CONFIG_FAILURES)
 
     try:
         lmap, observations = dataio.load_landmarks(out / "map.csv", out / "obs.csv")
         imu = dataio.load_imu_csv(out / "imu.csv")
         truth_path = out / "truth.csv"
         truth = dataio.load_truth_csv(truth_path) if truth_path.exists() else []
-        dataio.align(imu, observations, truth)
-    except (InsufficientLandmarks, UnknownLandmarkId) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (dataio.ParseError, dataio.EmptyStream, OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as e:
+        return _fail(e, _INPUT_FAILURES)
 
     try:
         _require_usable_map(lmap)
@@ -268,18 +259,8 @@ def run_replay(args) -> int:
             else:
                 print(f"  {recorded.name}: not present, nothing to compare")
         return status
-    except _AssumptionViolation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except _RUNTIME_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except Exception as e:
+        return _fail(e, _RUN_FAILURES)
 
 
 def _sample_projection_bounds(n: int, rng) -> tuple[int, int]:
@@ -384,7 +365,7 @@ def _selftest_checks(quick: bool, inject: bool):
     else:
         _, _, _, res = run_scenario(scn)
     last = res.final
-    converged = last.att < 0.01 and last.pos < 0.05 and last.vel < 0.05
+    converged = last.att < ATT_CONVERGED and last.pos < 0.05 and last.vel < 0.05
     yield ("closed-loop convergence", converged,
            f"final att {last.att:.3e}, pos {last.pos:.3e}, vel {last.vel:.3e}")
 

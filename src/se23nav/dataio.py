@@ -33,10 +33,11 @@ import numpy as np
 
 from .measurement import (InsufficientLandmarks, LandmarkMap,
                           LandmarkObservation, check_configuration)
-from .observer import ADAPTIVE_GRAVITY, KNOWN_GRAVITY, Gains
-from .simulator import (MATRIX, QUATERNION, DEFAULT_MAX_CORRECTION_DT,
-                        EstimateSnapshot, ImuSample, InitError, MetricsRow,
-                        NoiseSpec, Scenario, TrajectorySpec, TruthSample)
+from .observer import (ADAPTIVE_GRAVITY, KNOWN_GRAVITY, MATRIX,
+                       REPRESENTATIONS, Gains)
+from .simulator import (DEFAULT_MAX_CORRECTION_DT, EstimateSnapshot,
+                        ImuSample, InitError, MetricsRow, NoiseSpec, Scenario,
+                        TrajectorySpec, TruthSample, merge_events)
 
 IMU_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
 TRUTH_HEADER = "t_ns,qw,qx,qy,qz,px,py,pz,vx,vy,vz"
@@ -316,26 +317,20 @@ def load_estimates_csv(path) -> list[EstimateSnapshot]:
 
 
 def align(imu, observations, truth=None):
-    """Merge the streams into one time-ordered event list.
+    """Merge the streams into the engine's time-ordered event list (see
+    :func:`~se23nav.simulator.merge_events`).
 
-    Events at the same instant keep a fixed order: truth first, then the
-    inertial sample, then the landmark epoch, so prediction precedes
-    correction at equal times.  Ground truth is optional (a replay can be
-    scored estimate-only); inertial data and at least one landmark epoch
-    are not, since the closed loop cannot correct without them.  Each event
-    is a ``(t_ns, kind, payload)`` triple with kinds 0 truth, 1 inertial,
-    2 epoch.
+    Ground truth is optional (a replay can be scored estimate-only);
+    inertial data and at least one landmark epoch are not, since the closed
+    loop cannot correct without them.  Each event is a ``(t_ns, kind,
+    payload)`` triple with kinds 0 truth, 1 inertial, 2 epoch.
     """
     if not imu:
         raise EmptyStream("inertial stream is empty")
     if not observations:
         raise EmptyStream("observation stream is empty; the estimator "
                           "cannot correct without landmark epochs")
-    events = [(s.t_ns, 0, s) for s in (truth or [])]
-    events += [(s.t_ns, 1, s) for s in imu]
-    events += [(int(t), 2, o) for t, o in observations]
-    events.sort(key=lambda e: (e[0], e[1]))
-    return events
+    return merge_events(truth or (), imu, observations)
 
 
 def load_landmarks(map_path, obs_path):
@@ -367,8 +362,7 @@ _DEFAULT_INIT = InitError(angle=2.9670597283903604, axis=(1.0, 1.0, 1.0),
                           pos=(3.0, -2.0, 1.0))
 _DEFAULT_GAINS = Gains()
 
-_GRAVITY_MODES = (KNOWN_GRAVITY, ADAPTIVE_GRAVITY, BOTH_GRAVITY)
-_REPRESENTATIONS = (MATRIX, QUATERNION)
+GRAVITY_MODES = (KNOWN_GRAVITY, ADAPTIVE_GRAVITY, BOTH_GRAVITY)
 
 
 @dataclass(frozen=True)
@@ -434,18 +428,8 @@ _ALL_KEYS = (_FLOAT_KEYS | _INT_KEYS | _TRIPLE_KEYS | _STR_KEYS
              | _LIST_KEYS | _POINTS_KEYS)
 assert _ALL_KEYS == {f.name for f in fields(RunConfig)}
 
-# fixed output order keeps written configs diffable
-_KEY_ORDER = (
-    "duration", "imu_rate", "obs_rate", "gravity_mode", "representation",
-    "seed", "max_correction_dt",
-    "noise_std_omega", "noise_std_accel", "noise_std_obs",
-    "k_w", "k_v", "k_a", "gamma_sigma", "k_sigma", "gamma_g", "mu",
-    "g_ref", "init_angle", "init_axis", "init_pos", "init_vel",
-    "trajectory", "center", "amplitude", "freq", "phase", "radius",
-    "yaw_amp", "yaw_freq", "pitch_amp", "pitch_freq", "pitch_phase",
-    "waypoint_times", "waypoint_points", "map_file",
-)
-assert set(_KEY_ORDER) == _ALL_KEYS
+# written configs list the keys in field order, which keeps them diffable
+_KEY_ORDER = tuple(f.name for f in fields(RunConfig))
 
 
 def _parse_triple(path, lineno, value: str) -> tuple:
@@ -497,6 +481,14 @@ def parse_config(path) -> RunConfig:
     return cfg
 
 
+def _trajectory_spec(cfg: RunConfig) -> TrajectorySpec:
+    """The configured trajectory: key ``trajectory`` is the kind, every other
+    trajectory field has the key of its own name."""
+    return TrajectorySpec(kind=cfg.trajectory, **{
+        f.name: getattr(cfg, f.name) for f in fields(TrajectorySpec)
+        if f.name != "kind"})
+
+
 def validate_config(cfg: RunConfig) -> None:
     def bad(msg):
         raise ValidationError(msg)
@@ -512,28 +504,22 @@ def validate_config(cfg: RunConfig) -> None:
         bad("the landmark epoch rate must divide the inertial rate")
     if round(cfg.duration * cfg.imu_rate) < 1:
         bad("duration is shorter than one inertial sample")
-    if cfg.gravity_mode not in _GRAVITY_MODES:
-        bad(f"gravity_mode must be one of {_GRAVITY_MODES}, got {cfg.gravity_mode!r}")
-    if cfg.representation not in _REPRESENTATIONS:
-        bad(f"representation must be one of {_REPRESENTATIONS}, got {cfg.representation!r}")
+    if cfg.gravity_mode not in GRAVITY_MODES:
+        bad(f"gravity_mode must be one of {GRAVITY_MODES}, got {cfg.gravity_mode!r}")
+    if cfg.representation not in REPRESENTATIONS:
+        bad(f"representation must be one of {REPRESENTATIONS}, got {cfg.representation!r}")
     if cfg.max_correction_dt <= 0.0:
         bad("max_correction_dt must be positive")
     for k in ("noise_std_omega", "noise_std_accel", "noise_std_obs"):
         if getattr(cfg, k) < 0.0:
             bad(f"{k} must be nonnegative")
-    for k in ("k_w", "k_v", "k_a", "gamma_sigma", "k_sigma", "gamma_g", "mu"):
+    for k in (f.name for f in fields(Gains)):
         if getattr(cfg, k) <= 0.0:
             bad(f"gain {k} must be strictly positive")
     if np.linalg.norm(np.asarray(cfg.init_axis, dtype=float)) == 0.0:
         bad("init_axis must be nonzero")
     try:
-        TrajectorySpec(kind=cfg.trajectory, center=cfg.center,
-                       amplitude=cfg.amplitude, freq=cfg.freq, phase=cfg.phase,
-                       radius=cfg.radius, yaw_amp=cfg.yaw_amp,
-                       yaw_freq=cfg.yaw_freq, pitch_amp=cfg.pitch_amp,
-                       pitch_freq=cfg.pitch_freq, pitch_phase=cfg.pitch_phase,
-                       waypoint_times=cfg.waypoint_times,
-                       waypoint_points=cfg.waypoint_points)
+        _trajectory_spec(cfg)
     except ValueError as e:
         bad(str(e))
 
@@ -569,26 +555,16 @@ def config_to_scenario(cfg: RunConfig, lmap: LandmarkMap,
     mode = gravity_mode if gravity_mode is not None else cfg.gravity_mode
     if mode == BOTH_GRAVITY:
         raise ValidationError("a single run needs a concrete gravity mode")
-    traj = TrajectorySpec(kind=cfg.trajectory, center=cfg.center,
-                          amplitude=cfg.amplitude, freq=cfg.freq,
-                          phase=cfg.phase, radius=cfg.radius,
-                          yaw_amp=cfg.yaw_amp, yaw_freq=cfg.yaw_freq,
-                          pitch_amp=cfg.pitch_amp, pitch_freq=cfg.pitch_freq,
-                          pitch_phase=cfg.pitch_phase,
-                          waypoint_times=cfg.waypoint_times,
-                          waypoint_points=cfg.waypoint_points)
-    gains = Gains(k_w=cfg.k_w, k_v=cfg.k_v, k_a=cfg.k_a,
-                  gamma_sigma=cfg.gamma_sigma, k_sigma=cfg.k_sigma,
-                  gamma_g=cfg.gamma_g, mu=cfg.mu)
+    gains = Gains(**{f.name: getattr(cfg, f.name) for f in fields(Gains)})
     init = InitError(angle=cfg.init_angle, axis=cfg.init_axis,
                      pos=cfg.init_pos, vel=cfg.init_vel)
     noise = NoiseSpec(std_omega=cfg.noise_std_omega,
                       std_accel=cfg.noise_std_accel,
                       std_obs=cfg.noise_std_obs, seed=cfg.seed)
-    return Scenario(trajectory=traj, lmap=lmap, gains=gains, init_error=init,
-                    duration=cfg.duration, imu_rate=cfg.imu_rate,
-                    obs_rate=cfg.obs_rate, gravity_mode=mode,
-                    g_ref=cfg.g_ref, noise=noise,
+    return Scenario(trajectory=_trajectory_spec(cfg), lmap=lmap, gains=gains,
+                    init_error=init, duration=cfg.duration,
+                    imu_rate=cfg.imu_rate, obs_rate=cfg.obs_rate,
+                    gravity_mode=mode, g_ref=cfg.g_ref, noise=noise,
                     max_correction_dt=cfg.max_correction_dt)
 
 

@@ -13,12 +13,15 @@ samples, ``predict`` advances the state (including the action of the current
 gravity estimate) every inertial sample and ``correct`` applies the
 innovation-driven terms whenever a fresh epoch arrives, scaled by the time
 elapsed since the previous correction.
+
+The attitude is kept as a rotation matrix or as a unit quaternion, chosen at
+:meth:`ObserverState.create`; both run the same update law.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +42,11 @@ UNSTABLE_TRACE_TOL = 1e-6
 
 KNOWN_GRAVITY = "known"
 ADAPTIVE_GRAVITY = "adaptive"
+
+# Attitude representations.
+MATRIX = "matrix"
+QUATERNION = "quaternion"
+REPRESENTATIONS = (MATRIX, QUATERNION)
 
 # Debug hook used by the self test to prove the convergence check has teeth.
 _FAULT_FLIP_W_OMEGA = False
@@ -94,29 +102,45 @@ class Correction:
 @dataclass(frozen=True)
 class ObserverState:
     """Full estimator state: extended pose, noise-covariance bound estimate,
-    gravity estimate and the gravity handling mode."""
+    gravity estimate and the gravity handling mode.
+
+    ``quat`` is the unit-quaternion attitude of a state that keeps one and
+    ``None`` for a matrix attitude; when it is set, ``nav.r`` is always its
+    rotation matrix.
+    """
 
     nav: NavState
     sigma_hat: np.ndarray
     g_hat: np.ndarray
     gravity_mode: str = KNOWN_GRAVITY
     steps: int = 0
+    quat: np.ndarray | None = None
 
     @classmethod
     def create(cls, nav: NavState, gravity_mode: str = KNOWN_GRAVITY,
                g_ref: np.ndarray = GRAVITY_ENU,
                g0: np.ndarray | None = None,
-               sigma0: np.ndarray | None = None) -> "ObserverState":
+               sigma0: np.ndarray | None = None,
+               representation: str = MATRIX) -> "ObserverState":
         """Initial state.  Known mode pins ``g_hat`` to ``g_ref``; adaptive
-        mode starts it at ``g0`` (zero by default)."""
+        mode starts it at ``g0`` (zero by default).  ``representation``
+        stores the attitude as a rotation matrix or as a unit quaternion
+        converted from ``nav.r``."""
         if gravity_mode not in (KNOWN_GRAVITY, ADAPTIVE_GRAVITY):
             raise ModeError(f"unknown gravity mode {gravity_mode!r}")
+        if representation not in REPRESENTATIONS:
+            raise ValueError(f"unknown representation {representation!r}")
         if gravity_mode == KNOWN_GRAVITY:
             g_hat = np.asarray(g_ref, dtype=float).copy()
         else:
             g_hat = np.zeros(3) if g0 is None else np.asarray(g0, dtype=float).copy()
         sigma = np.zeros(3) if sigma0 is None else np.asarray(sigma0, dtype=float).copy()
-        return cls(nav=nav, sigma_hat=sigma, g_hat=g_hat, gravity_mode=gravity_mode)
+        quat = None
+        if representation == QUATERNION:
+            quat = rot_to_quat(nav.r)
+            nav = NavState(quat_to_rot(quat), nav.p, nav.v)
+        return cls(nav=nav, sigma_hat=sigma, g_hat=g_hat,
+                   gravity_mode=gravity_mode, quat=quat)
 
 
 @dataclass(frozen=True)
@@ -189,10 +213,39 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise NonFiniteState("observer state left the finite range")
 
 
-def _maybe_reortho(r: np.ndarray, steps: int) -> np.ndarray:
-    if steps % REORTHO_EVERY == 0:
-        return orthonormalize_rows(r)
-    return r
+def _turn(r: np.ndarray, quat: np.ndarray | None, rotvec: np.ndarray,
+          g0: np.ndarray, *, left: bool, steps: int | None = None):
+    """Turn an attitude by ``exp(rotvec)``, whose matrix is ``g0``, from the
+    left or the right.
+
+    This is the only code that depends on how the attitude is stored.
+    Returns the turned rotation matrix, the turned unit quaternion (``None``
+    for a matrix attitude) and, after a left turn, the matrix that rotates
+    position and velocity along with the attitude (``None`` after a right
+    turn).  A matrix attitude is re-orthonormalized when ``steps``, the step
+    count the turn completes, is a multiple of :data:`REORTHO_EVERY`; a
+    quaternion is renormalized on every turn.
+    """
+    if quat is None:
+        r_new = g0 @ r if left else r @ g0
+        if steps is not None and steps % REORTHO_EVERY == 0:
+            r_new = orthonormalize_rows(r_new)
+        return r_new, None, g0 if left else None
+    dq = quat_from_rotvec(rotvec)
+    q_new = quat_normalize(quat_product(dq, quat) if left else quat_product(quat, dq))
+    return quat_to_rot(q_new), q_new, quat_to_rot(dq) if left else None
+
+
+def _innovate(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
+              gains: Gains, dt: float):
+    """Correction terms of one epoch at ``state``, with the noise bound and
+    gravity estimate adapted over ``dt``: (correction, sigma_hat, g_hat)."""
+    summary = aggregate(lmap, obs, state.nav.r, state.nav.p)
+    corr = compute_corrections(summary, state, gains)
+    g_hat = state.g_hat
+    if state.gravity_mode == ADAPTIVE_GRAVITY:
+        g_hat = gravity_step(state, corr, summary, gains, dt)
+    return corr, sigma_step(state, summary, corr, gains, dt), g_hat
 
 
 def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
@@ -205,17 +258,18 @@ def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
     """
     r, p, v = state.nav.r, state.nav.p, state.nav.v
     g_hat = state.g_hat
-    g0, g1, g2 = so3_gammas(np.asarray(omega_m, dtype=float) * dt)
+    rotvec = np.asarray(omega_m, dtype=float) * dt
+    g0, g1, g2 = so3_gammas(rotvec)
     a = np.asarray(a_m, dtype=float)
-    r_new = r @ g0
     p_new = p + v * dt + (r @ (g2 @ a)) * (dt * dt) + 0.5 * g_hat * (dt * dt)
     v_new = v + (r @ (g1 @ a)) * dt + g_hat * dt
     steps = state.steps + 1
-    r_new = _maybe_reortho(r_new, steps)
+    r_new, q_new, _ = _turn(r, state.quat, rotvec, g0, left=False, steps=steps)
     _check_finite(r_new, p_new, v_new)
     return ObserverState(nav=NavState(r_new, p_new, v_new),
                          sigma_hat=state.sigma_hat, g_hat=state.g_hat,
-                         gravity_mode=state.gravity_mode, steps=steps)
+                         gravity_mode=state.gravity_mode, steps=steps,
+                         quat=q_new)
 
 
 def correct(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
@@ -226,24 +280,18 @@ def correct(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
     since the previous epoch.  The gravity action is not reapplied here; it
     is part of :func:`predict`.
     """
-    summary = aggregate(lmap, obs, state.nav.r, state.nav.p)
-    corr = compute_corrections(summary, state, gains)
-    g_hat = state.g_hat
-    if state.gravity_mode == ADAPTIVE_GRAVITY:
-        g_hat = gravity_step(state, corr, summary, gains, dt)
-    sigma = sigma_step(state, summary, corr, gains, dt)
-
+    corr, sigma, g_hat = _innovate(state, lmap, obs, gains, dt)
     # innovation part of the acceleration channel; gravity lives in predict
     w_acc_inn = corr.w_acc + state.g_hat
-    g0c, g1c, _ = so3_gammas(-corr.w_omega * dt)
-    r, p, v = state.nav.r, state.nav.p, state.nav.v
-    r_new = g0c @ r
-    p_new = g0c @ p + g1c @ (-corr.w_vel * dt)
-    v_new = g0c @ v + g1c @ (-w_acc_inn * dt)
+    rotvec = -corr.w_omega * dt
+    g0c, g1c, _ = so3_gammas(rotvec)
+    r_new, q_new, turn = _turn(state.nav.r, state.quat, rotvec, g0c, left=True)
+    p_new = turn @ state.nav.p + g1c @ (-corr.w_vel * dt)
+    v_new = turn @ state.nav.v + g1c @ (-w_acc_inn * dt)
     _check_finite(r_new, p_new, v_new, sigma, g_hat)
     return ObserverState(nav=NavState(r_new, p_new, v_new), sigma_hat=sigma,
                          g_hat=g_hat, gravity_mode=state.gravity_mode,
-                         steps=state.steps)
+                         steps=state.steps, quat=q_new)
 
 
 def step(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
@@ -257,145 +305,45 @@ def step(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
     """
     r, p, v = state.nav.r, state.nav.p, state.nav.v
     a = np.asarray(a_m, dtype=float)
-    g0, g1, g2 = so3_gammas(np.asarray(omega_m, dtype=float) * dt)
-    r_y = r @ g0
+    rotvec = np.asarray(omega_m, dtype=float) * dt
+    g0, g1, g2 = so3_gammas(rotvec)
+    r_y, q_y, _ = _turn(r, state.quat, rotvec, g0, left=False)
     p_y = p + v * dt + (r @ (g2 @ a)) * (dt * dt)
     v_y = v + (r @ (g1 @ a)) * dt
     # bookkeeping entry of the prediction product, consumed by the correction
     y54 = dt
 
-    predicted = ObserverState(nav=NavState(r_y, p_y, v_y),
-                              sigma_hat=state.sigma_hat, g_hat=state.g_hat,
-                              gravity_mode=state.gravity_mode, steps=state.steps)
-    summary = aggregate(lmap, obs, r_y, p_y)
-    corr = compute_corrections(summary, predicted, gains)
-    g_hat = state.g_hat
-    if state.gravity_mode == ADAPTIVE_GRAVITY:
-        g_hat = gravity_step(predicted, corr, summary, gains, dt)
-    sigma = sigma_step(predicted, summary, corr, gains, dt)
+    predicted = replace(state, nav=NavState(r_y, p_y, v_y), quat=q_y)
+    corr, sigma, g_hat = _innovate(predicted, lmap, obs, gains, dt)
 
-    g0c, g1c, g2c = so3_gammas(-corr.w_omega * dt)
+    rotvec_c = -corr.w_omega * dt
+    g0c, g1c, g2c = so3_gammas(rotvec_c)
     c4 = g1c @ (-corr.w_vel * dt) + g2c @ (corr.w_acc * dt) * dt
     c5 = g1c @ (-corr.w_acc * dt)
-    r_new = g0c @ r_y
-    p_new = g0c @ p_y + c4 + c5 * y54
-    v_new = g0c @ v_y + c5
     steps = state.steps + 1
-    r_new = _maybe_reortho(r_new, steps)
+    r_new, q_new, turn = _turn(r_y, q_y, rotvec_c, g0c, left=True, steps=steps)
+    p_new = turn @ p_y + c4 + c5 * y54
+    v_new = turn @ v_y + c5
     _check_finite(r_new, p_new, v_new, sigma, g_hat)
     return ObserverState(nav=NavState(r_new, p_new, v_new), sigma_hat=sigma,
-                         g_hat=g_hat, gravity_mode=state.gravity_mode, steps=steps)
+                         g_hat=g_hat, gravity_mode=state.gravity_mode,
+                         steps=steps, quat=q_new)
 
 
-# ---------------------------------------------------------------------------
-# quaternion-attitude variant
-
-@dataclass(frozen=True)
-class QuatObserverState:
-    """Estimator state with the attitude kept as a unit quaternion."""
-
-    q: np.ndarray
-    p: np.ndarray
-    v: np.ndarray
-    sigma_hat: np.ndarray
-    g_hat: np.ndarray
-    gravity_mode: str = KNOWN_GRAVITY
-    steps: int = 0
-
-    @classmethod
-    def from_matrix_state(cls, state: ObserverState) -> "QuatObserverState":
-        return cls(q=rot_to_quat(state.nav.r), p=state.nav.p.copy(),
-                   v=state.nav.v.copy(), sigma_hat=state.sigma_hat.copy(),
-                   g_hat=state.g_hat.copy(), gravity_mode=state.gravity_mode,
-                   steps=state.steps)
-
-    def to_matrix_state(self) -> ObserverState:
-        return ObserverState(nav=NavState(quat_to_rot(self.q), self.p.copy(), self.v.copy()),
-                             sigma_hat=self.sigma_hat.copy(), g_hat=self.g_hat.copy(),
-                             gravity_mode=self.gravity_mode, steps=self.steps)
+def predict_quaternion(state: ObserverState, omega_m: np.ndarray,
+                       a_m: np.ndarray, dt: float) -> ObserverState:
+    """:func:`predict`; kept as its own function because ``bench/tracer.py``
+    traces it by name."""
+    return predict(state, omega_m, a_m, dt)
 
 
-def predict_quaternion(state: QuatObserverState, omega_m: np.ndarray,
-                       a_m: np.ndarray, dt: float) -> QuatObserverState:
-    """Quaternion-attitude mirror of :func:`predict`; renormalizes every step."""
-    rhat = quat_to_rot(state.q)
-    a = np.asarray(a_m, dtype=float)
-    _, g1, g2 = so3_gammas(np.asarray(omega_m, dtype=float) * dt)
-    p_new = state.p + state.v * dt + (rhat @ (g2 @ a)) * (dt * dt) + 0.5 * state.g_hat * (dt * dt)
-    v_new = state.v + (rhat @ (g1 @ a)) * dt + state.g_hat * dt
-    q_new = quat_normalize(quat_product(state.q, quat_from_rotvec(np.asarray(omega_m) * dt)))
-    _check_finite(q_new, p_new, v_new)
-    return QuatObserverState(q=q_new, p=p_new, v=v_new, sigma_hat=state.sigma_hat,
-                             g_hat=state.g_hat, gravity_mode=state.gravity_mode,
-                             steps=state.steps + 1)
-
-
-def correct_quaternion(state: QuatObserverState, lmap: LandmarkMap,
+def correct_quaternion(state: ObserverState, lmap: LandmarkMap,
                        obs: LandmarkObservation, gains: Gains,
-                       dt: float) -> QuatObserverState:
-    """Quaternion-attitude mirror of :func:`correct`."""
-    rhat = quat_to_rot(state.q)
-    summary = aggregate(lmap, obs, rhat, state.p)
-    mstate = ObserverState(nav=NavState(rhat, state.p, state.v),
-                           sigma_hat=state.sigma_hat, g_hat=state.g_hat,
-                           gravity_mode=state.gravity_mode, steps=state.steps)
-    corr = compute_corrections(summary, mstate, gains)
-    g_hat = state.g_hat
-    if state.gravity_mode == ADAPTIVE_GRAVITY:
-        g_hat = gravity_step(mstate, corr, summary, gains, dt)
-    sigma = sigma_step(mstate, summary, corr, gains, dt)
+                       dt: float) -> ObserverState:
+    """:func:`correct`; kept as its own function because ``bench/tracer.py``
+    traces it by name."""
+    return correct(state, lmap, obs, gains, dt)
 
-    w_acc_inn = corr.w_acc + state.g_hat
-    dq = quat_from_rotvec(-corr.w_omega * dt)
-    c_r = quat_to_rot(dq)
-    _, g1c, _ = so3_gammas(-corr.w_omega * dt)
-    p_new = c_r @ state.p + g1c @ (-corr.w_vel * dt)
-    v_new = c_r @ state.v + g1c @ (-w_acc_inn * dt)
-    q_new = quat_normalize(quat_product(dq, state.q))
-    _check_finite(q_new, p_new, v_new, sigma, g_hat)
-    return QuatObserverState(q=q_new, p=p_new, v=v_new, sigma_hat=sigma,
-                             g_hat=g_hat, gravity_mode=state.gravity_mode,
-                             steps=state.steps)
-
-
-def step_quaternion(state: QuatObserverState, omega_m: np.ndarray, a_m: np.ndarray,
-                    lmap: LandmarkMap, obs: LandmarkObservation, gains: Gains,
-                    dt: float) -> QuatObserverState:
-    """One synchronous cycle in the quaternion representation."""
-    rhat = quat_to_rot(state.q)
-    a = np.asarray(a_m, dtype=float)
-    _, g1, g2 = so3_gammas(np.asarray(omega_m, dtype=float) * dt)
-    q_y = quat_normalize(quat_product(state.q, quat_from_rotvec(np.asarray(omega_m) * dt)))
-    r_y = quat_to_rot(q_y)
-    p_y = state.p + state.v * dt + (rhat @ (g2 @ a)) * (dt * dt)
-    v_y = state.v + (rhat @ (g1 @ a)) * dt
-    y54 = dt
-
-    mstate = ObserverState(nav=NavState(r_y, p_y, v_y), sigma_hat=state.sigma_hat,
-                           g_hat=state.g_hat, gravity_mode=state.gravity_mode,
-                           steps=state.steps)
-    summary = aggregate(lmap, obs, r_y, p_y)
-    corr = compute_corrections(summary, mstate, gains)
-    g_hat = state.g_hat
-    if state.gravity_mode == ADAPTIVE_GRAVITY:
-        g_hat = gravity_step(mstate, corr, summary, gains, dt)
-    sigma = sigma_step(mstate, summary, corr, gains, dt)
-
-    dq = quat_from_rotvec(-corr.w_omega * dt)
-    c_r = quat_to_rot(dq)
-    _, g1c, g2c = so3_gammas(-corr.w_omega * dt)
-    c4 = g1c @ (-corr.w_vel * dt) + g2c @ (corr.w_acc * dt) * dt
-    c5 = g1c @ (-corr.w_acc * dt)
-    p_new = c_r @ p_y + c4 + c5 * y54
-    v_new = c_r @ v_y + c5
-    q_new = quat_normalize(quat_product(dq, q_y))
-    _check_finite(q_new, p_new, v_new, sigma, g_hat)
-    return QuatObserverState(q=q_new, p=p_new, v=v_new, sigma_hat=sigma,
-                             g_hat=g_hat, gravity_mode=state.gravity_mode,
-                             steps=state.steps + 1)
-
-
-# ---------------------------------------------------------------------------
 
 def error_metrics(x: NavState, state: ObserverState,
                   g_true: np.ndarray = GRAVITY_ENU) -> Metrics:

@@ -25,10 +25,9 @@ import numpy as np
 
 from .liegroup import NavState, rodrigues_exp, skew
 from .measurement import LandmarkMap, LandmarkObservation, synthesize_observation
-from .observer import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, Gains,
-                       Metrics, ObserverState, QuatObserverState, correct,
-                       correct_quaternion, error_metrics, predict,
-                       predict_quaternion, warn_if_unstable)
+from .observer import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
+                       Gains, Metrics, ObserverState, correct, error_metrics,
+                       predict, warn_if_unstable)
 from .quaternion import quat_to_rot, rot_to_quat
 
 NS_PER_S = 1_000_000_000
@@ -371,10 +370,21 @@ class RunResult:
         return self.rows[-1]
 
 
-MATRIX = "matrix"
-QUATERNION = "quaternion"
-
 _EV_TRUTH, _EV_IMU, _EV_OBS = 0, 1, 2
+
+
+def merge_events(truth: Sequence[TruthSample], imu: Sequence[ImuSample],
+                 observations: Sequence[tuple[int, LandmarkObservation]]) -> list:
+    """One time-ordered list of ``(t_ns, kind, payload)`` events.
+
+    Events at the same instant keep a fixed order: truth, then the inertial
+    sample, then the landmark epoch, so prediction precedes correction.
+    """
+    events = [(s.t_ns, _EV_TRUTH, s) for s in truth]
+    events += [(s.t_ns, _EV_IMU, s) for s in imu]
+    events += [(int(t), _EV_OBS, o) for t, o in observations]
+    events.sort(key=lambda e: (e[0], e[1]))
+    return events
 
 
 def run_closed_loop(truth: Sequence[TruthSample],
@@ -401,19 +411,12 @@ def run_closed_loop(truth: Sequence[TruthSample],
     ``obs_nominal_dt``.  One metrics row is emitted per instant at which
     truth is known, after every event at that instant has been processed.
     """
-    if representation not in (MATRIX, QUATERNION):
-        raise ValueError(f"unknown representation {representation!r}")
-    events = [(s.t_ns, _EV_TRUTH, s) for s in truth]
-    events += [(s.t_ns, _EV_IMU, s) for s in imu]
-    events += [(int(t), _EV_OBS, o) for t, o in observations]
-    events.sort(key=lambda e: (e[0], e[1]))
+    state = ObserverState.create(init_estimate, gravity_mode=gravity_mode,
+                                 g_ref=g_ref, g0=g0, sigma0=sigma0,
+                                 representation=representation)
+    events = merge_events(truth, imu, observations)
     if not events:
         raise ValueError("no events to process")
-
-    mstate = ObserverState.create(init_estimate, gravity_mode=gravity_mode,
-                                  g_ref=g_ref, g0=g0, sigma0=sigma0)
-    use_quat = representation == QUATERNION
-    state = QuatObserverState.from_matrix_state(mstate) if use_quat else mstate
 
     g_true = np.asarray(g_ref, dtype=float)
     rows: list[MetricsRow] = []
@@ -424,25 +427,19 @@ def run_closed_loop(truth: Sequence[TruthSample],
     last_corr_ns: int | None = None
     initial: Metrics | None = None
 
-    def as_matrix_state(s):
-        return s.to_matrix_state() if use_quat else s
-
     for t_ns, group in groupby(events, key=lambda e: e[0]):
         evs = list(group)
         if state_t_ns is not None and t_ns > state_t_ns and pending_imu is not None:
             dt = (t_ns - state_t_ns) / NS_PER_S
-            if use_quat:
-                state = predict_quaternion(state, pending_imu.omega, pending_imu.accel, dt)
-            else:
-                state = predict(state, pending_imu.omega, pending_imu.accel, dt)
+            state = predict(state, pending_imu.omega, pending_imu.accel, dt)
         state_t_ns = t_ns
 
         for _, kind, payload in evs:
             if kind == _EV_TRUTH:
                 cur_truth = payload
         if initial is None and cur_truth is not None:
-            initial = error_metrics(cur_truth.nav(), as_matrix_state(state), g_true)
-            warn_if_unstable(cur_truth.nav().r @ as_matrix_state(state).nav.r.T)
+            initial = error_metrics(cur_truth.nav(), state, g_true)
+            warn_if_unstable(cur_truth.nav().r @ state.nav.r.T)
 
         for _, kind, payload in evs:
             if kind == _EV_IMU:
@@ -453,35 +450,31 @@ def run_closed_loop(truth: Sequence[TruthSample],
                 else:
                     dt_c = (t_ns - last_corr_ns) / NS_PER_S
                 dt_c = min(dt_c, max_correction_dt)
-                if use_quat:
-                    state = correct_quaternion(state, lmap, payload, gains, dt_c)
-                else:
-                    state = correct(state, lmap, payload, gains, dt_c)
+                state = correct(state, lmap, payload, gains, dt_c)
                 last_corr_ns = t_ns
 
         has_truth_now = cur_truth is not None and cur_truth.t_ns == t_ns
         if has_truth_now or estimates is not None:
-            ms = as_matrix_state(state)
-            q_est = state.q.copy() if use_quat else rot_to_quat(ms.nav.r)
+            q_est = rot_to_quat(state.nav.r) if state.quat is None else state.quat.copy()
             if has_truth_now:
-                met = error_metrics(cur_truth.nav(), ms, g_true)
+                met = error_metrics(cur_truth.nav(), state, g_true)
                 rows.append(MetricsRow(
                     t_ns=t_ns, att=met.att, pos=met.pos, vel=met.vel,
-                    grav=met.grav, quat=q_est, p_est=ms.nav.p.copy(),
-                    v_est=ms.nav.v.copy(), sigma=ms.sigma_hat.copy(),
-                    g_hat=ms.g_hat.copy()))
+                    grav=met.grav, quat=q_est, p_est=state.nav.p.copy(),
+                    v_est=state.nav.v.copy(), sigma=state.sigma_hat.copy(),
+                    g_hat=state.g_hat.copy()))
             if estimates is not None:
                 estimates.append(EstimateSnapshot(
-                    t_ns=t_ns, quat=q_est, pos=ms.nav.p.copy(),
-                    vel=ms.nav.v.copy(), sigma=ms.sigma_hat.copy(),
-                    g_hat=ms.g_hat.copy()))
+                    t_ns=t_ns, quat=q_est, pos=state.nav.p.copy(),
+                    vel=state.nav.v.copy(), sigma=state.sigma_hat.copy(),
+                    g_hat=state.g_hat.copy()))
 
     if truth and not rows:
         raise ValueError("ground truth never coincided with a processed instant")
     if not rows and estimates is None:
         raise ValueError("no ground truth given and estimates were not kept")
-    return RunResult(rows=rows, initial=initial,
-                     final_state=as_matrix_state(state), estimates=estimates)
+    return RunResult(rows=rows, initial=initial, final_state=state,
+                     estimates=estimates)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,17 @@ def test_both_modes_record_and_replay(tmp_path, capsys):
     assert (out / "metrics_adaptive_replay.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["known", "adaptive"])
+def test_mode_flag_takes_config_vocabulary(tmp_path, capsys, mode):
+    conf = write_conf(tmp_path / "run.conf", gravity_mode="both")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(conf), "--out-dir", str(out),
+                 "--mode", mode]) == 0
+    assert parse_config(out / "config.txt").gravity_mode == mode
+    assert (out / "metrics.csv").exists()
+    assert f"mode {mode}:" in capsys.readouterr().out
+
+
 def test_seed_flag_is_recorded(tmp_path):
     conf = write_conf(tmp_path / "run.conf", noise_std_omega="0.05")
     out = tmp_path / "run"

@@ -10,13 +10,13 @@ from numpy.testing import assert_allclose
 
 from conftest import random_rotation, rk4_pose
 
-from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, Gains,
-                     LandmarkMap, ModeError, NavState, NonFiniteState,
-                     ObserverState, QuatObserverState, UnstableSetWarning,
-                     compute_corrections, correct, correct_quaternion,
-                     error_metrics, gravity_step, nav_error, predict,
-                     predict_quaternion, rodrigues_exp, sigma_step, step,
-                     step_quaternion, synthesize_observation)
+from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, QUATERNION,
+                     Gains, LandmarkMap, ModeError, NavState, NonFiniteState,
+                     ObserverState, UnstableSetWarning, compute_corrections,
+                     correct, correct_quaternion, error_metrics, gravity_step,
+                     nav_error, predict, predict_quaternion, quat_to_rot,
+                     rodrigues_exp, sigma_step, so3_distance, step,
+                     synthesize_observation)
 from se23nav.liegroup import skew
 from se23nav.measurement import MeasurementSummary
 from se23nav.observer import (Correction, inject_w_omega_sign_fault,
@@ -258,6 +258,8 @@ def test_create_modes_and_guards():
     assert_allclose(seeded.sigma_hat, [1.0, 2.0, 3.0], atol=0)
     with pytest.raises(ModeError):
         ObserverState.create(nav, gravity_mode="frozen")
+    with pytest.raises(ValueError):
+        ObserverState.create(nav, representation="euler")
 
 
 def test_gains_must_be_positive():
@@ -316,21 +318,28 @@ def _random_full_state(rng, mode=KNOWN_GRAVITY):
                          g_hat=g_hat, gravity_mode=mode)
 
 
+def _quaternion_state(st):
+    """``st`` with its attitude kept as a quaternion, built by ``create``."""
+    return ObserverState.create(st.nav, gravity_mode=st.gravity_mode,
+                                g_ref=st.g_hat, g0=st.g_hat,
+                                sigma0=st.sigma_hat, representation=QUATERNION)
+
+
 def _assert_states_match(mstate, qstate, atol):
-    back = qstate.to_matrix_state()
-    assert np.max(np.abs(back.nav.r - mstate.nav.r)) < atol
-    assert np.max(np.abs(back.nav.p - mstate.nav.p)) < atol
-    assert np.max(np.abs(back.nav.v - mstate.nav.v)) < atol
-    assert np.max(np.abs(back.sigma_hat - mstate.sigma_hat)) < atol
-    assert np.max(np.abs(back.g_hat - mstate.g_hat)) < atol
-    assert back.steps == mstate.steps
+    assert mstate.quat is None and qstate.quat is not None
+    assert np.max(np.abs(qstate.nav.r - mstate.nav.r)) < atol
+    assert np.max(np.abs(qstate.nav.p - mstate.nav.p)) < atol
+    assert np.max(np.abs(qstate.nav.v - mstate.nav.v)) < atol
+    assert np.max(np.abs(qstate.sigma_hat - mstate.sigma_hat)) < atol
+    assert np.max(np.abs(qstate.g_hat - mstate.g_hat)) < atol
+    assert qstate.steps == mstate.steps
 
 
 def test_quaternion_predict_mirrors_matrix_predict():
     rng = np.random.default_rng(47)
     for _ in range(30):
         st = _random_full_state(rng)
-        qs = QuatObserverState.from_matrix_state(st)
+        qs = _quaternion_state(st)
         omega, sf = rng.normal(size=3), rng.normal(size=3) * 2
         _assert_states_match(predict(st, omega, sf, 0.02),
                              predict_quaternion(qs, omega, sf, 0.02), 1e-12)
@@ -345,31 +354,53 @@ def test_quaternion_correct_and_step_mirror_matrix():
                              rng.normal(size=3))
             obs = synthesize_observation(truth, lmap)
             st = _random_full_state(rng, mode)
-            qs = QuatObserverState.from_matrix_state(st)
+            qs = _quaternion_state(st)
             _assert_states_match(correct(st, lmap, obs, Gains(), 0.05),
                                  correct_quaternion(qs, lmap, obs, Gains(), 0.05),
                                  1e-11)
             omega, sf = rng.normal(size=3), rng.normal(size=3)
             _assert_states_match(
                 step(st, omega, sf, lmap, obs, Gains(), 0.02),
-                step_quaternion(qs, omega, sf, lmap, obs, Gains(), 0.02),
+                step(qs, omega, sf, lmap, obs, Gains(), 0.02),
                 1e-11)
 
 
 def test_quaternion_prediction_reaches_known_endpoint():
     # constant quarter-turn-per-second spin for one second lands on the
     # quarter-turn rotation regardless of step size
-    qs = QuatObserverState(q=np.array([1.0, 0.0, 0.0, 0.0]), p=np.zeros(3),
-                           v=np.array([1.0, 0.0, 0.0]), sigma_hat=np.zeros(3),
-                           g_hat=np.zeros(3))
+    qs = ObserverState.create(NavState(np.eye(3), np.zeros(3),
+                                       np.array([1.0, 0.0, 0.0])),
+                              g_ref=np.zeros(3), representation=QUATERNION)
     omega = np.array([0.0, 0.0, np.pi / 2.0])
     for _ in range(1000):
         qs = predict_quaternion(qs, omega, np.zeros(3), 1e-3)
     target = rodrigues_exp(np.array([0.0, 0.0, np.pi / 2.0]))
-    from se23nav import quat_to_rot, so3_distance
-    assert so3_distance(quat_to_rot(qs.q) @ target.T) < 1e-12
-    assert_allclose(qs.p, [1.0, 0.0, 0.0], atol=1e-9)
-    assert abs(np.linalg.norm(qs.q) - 1.0) < 1e-14
+    assert so3_distance(quat_to_rot(qs.quat) @ target.T) < 1e-12
+    assert_allclose(qs.nav.p, [1.0, 0.0, 0.0], atol=1e-9)
+    assert abs(np.linalg.norm(qs.quat) - 1.0) < 1e-14
+
+
+def test_quaternion_state_matrix_is_its_quaternion_rotation():
+    # every update leaves nav.r exactly the rotation of the stored quaternion,
+    # and a matrix-attitude state never gains a quaternion
+    rng = np.random.default_rng(51)
+    lmap = _norm_map(rng)
+    for mode in (KNOWN_GRAVITY, ADAPTIVE_GRAVITY):
+        mstate = _random_full_state(rng, mode)
+        qs = _quaternion_state(mstate)
+        assert np.array_equal(qs.nav.r, quat_to_rot(qs.quat))
+        for _ in range(10):
+            truth = NavState(random_rotation(rng), rng.normal(size=3),
+                             rng.normal(size=3))
+            obs = synthesize_observation(truth, lmap)
+            omega, sf = rng.normal(size=3), rng.normal(size=3)
+            for update in (lambda s: predict(s, omega, sf, 0.02),
+                           lambda s: correct(s, lmap, obs, Gains(), 0.05),
+                           lambda s: step(s, omega, sf, lmap, obs, Gains(), 0.02)):
+                qs = update(qs)
+                assert np.array_equal(qs.nav.r, quat_to_rot(qs.quat))
+                mstate = update(mstate)
+                assert mstate.quat is None
 
 
 def test_nav_error_convention():
