@@ -29,9 +29,10 @@ from .measurement import (InsufficientLandmarks, UnknownLandmarkId,
 from .observer import (QUATERNION, ModeError, NonFiniteState,
                        inject_w_omega_sign_fault)
 from .quaternion import NonUnitQuaternion
-from .simulator import (ATT_CONVERGED, apply_init_error, build_streams,
-                        default_scenario, generate_truth, hover_scenario,
-                        run_closed_loop, run_scenario, summarize)
+from .simulator import (ATT_CONVERGED, _engine_kwargs, apply_init_error,
+                        build_streams, default_scenario, generate_truth,
+                        hover_scenario, run_closed_loop, run_scenario,
+                        summarize)
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -186,10 +187,7 @@ def run_simulate(args) -> int:
         for mode in cfg.modes():
             result = run_closed_loop(
                 truth, imu, observations, lmap, scenario.gains, init_nav,
-                gravity_mode=mode, g_ref=np.asarray(cfg.g_ref, dtype=float),
-                representation=cfg.representation,
-                obs_nominal_dt=1.0 / cfg.obs_rate,
-                max_correction_dt=cfg.max_correction_dt)
+                **_engine_kwargs(scenario, mode, cfg.representation))
             name = _series_name(cfg, mode)
             dataio.write_metrics_csv(out / name, result.rows)
             _print_mode_summary(mode, result)
@@ -233,11 +231,8 @@ def run_replay(args) -> int:
         for mode in cfg.modes():
             result = run_closed_loop(
                 truth, imu, observations, lmap, scenario.gains, init_nav,
-                gravity_mode=mode, g_ref=np.asarray(cfg.g_ref, dtype=float),
-                representation=cfg.representation,
-                obs_nominal_dt=1.0 / cfg.obs_rate,
-                max_correction_dt=cfg.max_correction_dt,
-                keep_estimates=not truth)
+                **_engine_kwargs(scenario, mode, cfg.representation,
+                                 keep_estimates=not truth))
             if not truth:
                 name = _series_name(cfg, mode, stem="estimates", replayed=True)
                 dataio.write_estimates_csv(out / name, result.estimates)
@@ -371,9 +366,7 @@ def _selftest_checks(quick: bool, inject: bool):
 
     truth, imu, observations = build_streams(scn)
     init_nav = apply_init_error(truth[0].nav(), scn.init_error)
-    kw = dict(gravity_mode=scn.gravity_mode, g_ref=np.asarray(scn.g_ref),
-              obs_nominal_dt=1.0 / scn.obs_rate,
-              max_correction_dt=scn.max_correction_dt)
+    kw = _engine_kwargs(scn, scn.gravity_mode)
     r1 = run_closed_loop(truth, imu, observations, scn.lmap, scn.gains,
                          init_nav, **kw)
     r2 = run_closed_loop(truth, imu, observations, scn.lmap, scn.gains,

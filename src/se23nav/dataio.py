@@ -15,9 +15,10 @@ Streams:
 - observations  ``t_ns,id,yx,yy,yz``  (nondecreasing time; equal-time rows
   form one epoch)
 - metrics       four error norms, then the estimated state and adapted
-  quantities (header in :data:`METRICS_HEADER`)
+  quantities (header in :data:`METRICS_HEADER`; strictly increasing time)
 - estimates     the metrics layout minus the error columns, for runs scored
-  without ground truth (header in :data:`ESTIMATES_HEADER`)
+  without ground truth (header in :data:`ESTIMATES_HEADER`; strictly
+  increasing time)
 
 The run configuration is a flat ``key=value`` text file; ``#`` starts a
 comment, blank lines are ignored, unknown or repeated keys are errors.
@@ -31,8 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measurement import (InsufficientLandmarks, LandmarkMap,
-                          LandmarkObservation, check_configuration)
+from .measurement import InsufficientLandmarks, LandmarkMap, LandmarkObservation
 from .observer import (ADAPTIVE_GRAVITY, KNOWN_GRAVITY, MATRIX,
                        REPRESENTATIONS, Gains)
 from .simulator import (DEFAULT_MAX_CORRECTION_DT, EstimateSnapshot,
@@ -75,8 +75,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_row(t_ns: int, values) -> str:
-    return ",".join([str(int(t_ns))] + [_fmt(v) for v in values])
+def _fmt_seq(values) -> str:
+    return ",".join(_fmt(v) for v in values)
+
+
+def _fmt_row(key: int, values) -> str:
+    return f"{int(key)},{_fmt_seq(values)}"
+
+
+def _write_csv(path, header: str, lines) -> None:
+    Path(path).write_text("\n".join([header, *lines]) + "\n")
 
 
 def _read_lines(path):
@@ -85,21 +93,6 @@ def _read_lines(path):
     except OSError as e:
         raise OSError(f"cannot read {path}: {e}") from e
     return text.splitlines()
-
-
-def _check_header(path, lines, expected: str):
-    if not lines:
-        raise ParseError(path, 1, "file is empty, expected header "
-                         f"{expected!r}")
-    if lines[0] != expected:
-        raise ParseError(path, 1, f"bad header {lines[0]!r}, expected {expected!r}")
-
-
-def _split_fields(path, lineno: int, line: str, n: int) -> list[str]:
-    parts = line.split(",")
-    if len(parts) != n:
-        raise ParseError(path, lineno, f"expected {n} fields, got {len(parts)}")
-    return parts
 
 
 def _parse_int(path, lineno: int, s: str) -> int:
@@ -119,201 +112,143 @@ def _parse_float(path, lineno: int, s: str) -> float:
     return v
 
 
+def _records(path, header: str):
+    """Yield ``(lineno, fields)`` for every non-blank line after the exact
+    ``header``; each record has as many fields as the header."""
+    lines = _read_lines(path)
+    if not lines:
+        raise ParseError(path, 1, f"file is empty, expected header {header!r}")
+    if lines[0] != header:
+        raise ParseError(path, 1, f"bad header {lines[0]!r}, expected {header!r}")
+    n = header.count(",") + 1
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != n:
+            raise ParseError(path, lineno, f"expected {n} fields, got {len(parts)}")
+        yield lineno, parts
+
+
+def _timed_records(path, header: str, what: str):
+    """Yield ``(t_ns, values)`` for a time-stamped stream: integer time that
+    strictly increases, then finite numbers.  Raises :class:`EmptyStream`
+    when there are no records."""
+    prev = None
+    for lineno, f in _records(path, header):
+        t = _parse_int(path, lineno, f[0])
+        if prev is not None and t <= prev:
+            raise NonMonotonicTime(path, lineno,
+                                   f"time {t} does not increase past {prev}")
+        prev = t
+        yield t, [_parse_float(path, lineno, s) for s in f[1:]]
+    if prev is None:
+        raise EmptyStream(f"{path}: no {what} records")
+
+
 # ---------------------------------------------------------------------------
 # stream writers
 
 def write_imu_csv(path, samples) -> None:
-    lines = [IMU_HEADER]
-    for s in samples:
-        lines.append(_fmt_row(s.t_ns, list(s.omega) + list(s.accel)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, IMU_HEADER, (_fmt_row(s.t_ns, [*s.omega, *s.accel])
+                                  for s in samples))
 
 
 def write_truth_csv(path, samples) -> None:
-    lines = [TRUTH_HEADER]
-    for s in samples:
-        lines.append(_fmt_row(s.t_ns, list(s.quat) + list(s.pos) + list(s.vel)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, TRUTH_HEADER, (_fmt_row(s.t_ns, [*s.quat, *s.pos, *s.vel])
+                                    for s in samples))
 
 
 def write_map_csv(path, lmap: LandmarkMap) -> None:
-    lines = [MAP_HEADER]
-    for i in range(len(lmap)):
-        p = lmap.positions[i]
-        lines.append(",".join([str(int(lmap.ids[i])), _fmt(p[0]), _fmt(p[1]),
-                               _fmt(p[2]), _fmt(lmap.weights[i])]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, MAP_HEADER, (_fmt_row(i, [*p, w]) for i, p, w in
+                                  zip(lmap.ids, lmap.positions, lmap.weights)))
 
 
 def write_obs_csv(path, observations) -> None:
     """``observations`` is a sequence of (t_ns, LandmarkObservation)."""
-    lines = [OBS_HEADER]
-    for t_ns, obs in observations:
-        for j in range(obs.ids.size):
-            y = obs.points[j]
-            lines.append(",".join([str(int(t_ns)), str(int(obs.ids[j])),
-                                   _fmt(y[0]), _fmt(y[1]), _fmt(y[2])]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, OBS_HEADER, (f"{int(t_ns)},{_fmt_row(i, y)}"
+                                  for t_ns, obs in observations
+                                  for i, y in zip(obs.ids, obs.points)))
 
 
 def write_metrics_csv(path, rows) -> None:
-    lines = [METRICS_HEADER]
-    for r in rows:
-        vals = ([r.att, r.pos, r.vel, r.grav] + list(r.quat) + list(r.p_est)
-                + list(r.v_est) + list(r.sigma) + list(r.g_hat))
-        lines.append(_fmt_row(r.t_ns, vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, METRICS_HEADER, (
+        _fmt_row(r.t_ns, [r.att, r.pos, r.vel, r.grav, *r.quat, *r.p_est,
+                          *r.v_est, *r.sigma, *r.g_hat]) for r in rows))
 
 
 def write_estimates_csv(path, snapshots) -> None:
     """Estimate-only series, used when a run has no ground truth to score."""
-    lines = [ESTIMATES_HEADER]
-    for s in snapshots:
-        vals = (list(s.quat) + list(s.pos) + list(s.vel) + list(s.sigma)
-                + list(s.g_hat))
-        lines.append(_fmt_row(s.t_ns, vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ESTIMATES_HEADER, (
+        _fmt_row(s.t_ns, [*s.quat, *s.pos, *s.vel, *s.sigma, *s.g_hat])
+        for s in snapshots))
 
 
 # ---------------------------------------------------------------------------
 # stream readers
 
 def load_imu_csv(path) -> list[ImuSample]:
-    lines = _read_lines(path)
-    _check_header(path, lines, IMU_HEADER)
-    out: list[ImuSample] = []
-    prev = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        f = _split_fields(path, lineno, line, 7)
-        t = _parse_int(path, lineno, f[0])
-        if prev is not None and t <= prev:
-            raise NonMonotonicTime(path, lineno,
-                                   f"time {t} does not increase past {prev}")
-        prev = t
-        vals = [_parse_float(path, lineno, s) for s in f[1:]]
-        out.append(ImuSample(t, np.array(vals[0:3]), np.array(vals[3:6])))
-    if not out:
-        raise EmptyStream(f"{path}: no inertial records")
-    return out
+    return [ImuSample(t, np.array(v[0:3]), np.array(v[3:6]))
+            for t, v in _timed_records(path, IMU_HEADER, "inertial")]
 
 
 def load_truth_csv(path) -> list[TruthSample]:
-    lines = _read_lines(path)
-    _check_header(path, lines, TRUTH_HEADER)
-    out: list[TruthSample] = []
-    prev = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        f = _split_fields(path, lineno, line, 11)
-        t = _parse_int(path, lineno, f[0])
-        if prev is not None and t <= prev:
-            raise NonMonotonicTime(path, lineno,
-                                   f"time {t} does not increase past {prev}")
-        prev = t
-        vals = [_parse_float(path, lineno, s) for s in f[1:]]
-        out.append(TruthSample(t, np.array(vals[0:4]), np.array(vals[4:7]),
-                               np.array(vals[7:10])))
-    if not out:
-        raise EmptyStream(f"{path}: no ground-truth records")
-    return out
+    return [TruthSample(t, np.array(v[0:4]), np.array(v[4:7]), np.array(v[7:10]))
+            for t, v in _timed_records(path, TRUTH_HEADER, "ground-truth")]
 
 
 def load_map_csv(path) -> LandmarkMap:
-    lines = _read_lines(path)
-    _check_header(path, lines, MAP_HEADER)
-    ids, pts, wts = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        f = _split_fields(path, lineno, line, 5)
-        ids.append(_parse_int(path, lineno, f[0]))
+    ids, pts, wts, seen = [], [], [], set()
+    for lineno, f in _records(path, MAP_HEADER):
+        i = _parse_int(path, lineno, f[0])
         pts.append([_parse_float(path, lineno, s) for s in f[1:4]])
         w = _parse_float(path, lineno, f[4])
         if w <= 0.0:
             raise ParseError(path, lineno, f"weight must be positive, got {w!r}")
+        if i in seen:
+            raise ParseError(path, lineno, "duplicate landmark ids")
+        seen.add(i)
+        ids.append(i)
         wts.append(w)
     if not ids:
         raise EmptyStream(f"{path}: no landmarks")
-    if len(set(ids)) != len(ids):
-        raise ParseError(path, len(lines), "duplicate landmark ids")
     return LandmarkMap(ids=np.array(ids), positions=np.array(pts),
                        weights=np.array(wts))
 
 
 def load_obs_csv(path) -> list[tuple[int, LandmarkObservation]]:
     """Epochs from the long observation format; equal-time rows group."""
-    lines = _read_lines(path)
-    _check_header(path, lines, OBS_HEADER)
-    out: list[tuple[int, LandmarkObservation]] = []
-    cur_t = None
-    cur_ids: list[int] = []
-    cur_pts: list[list[float]] = []
-
-    def flush():
-        if cur_t is not None:
-            out.append((cur_t, LandmarkObservation(
-                t=cur_t / 1e9, ids=np.array(cur_ids),
-                points=np.array(cur_pts))))
-
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        f = _split_fields(path, lineno, line, 5)
+    epochs: list[tuple[int, list, list]] = []
+    for lineno, f in _records(path, OBS_HEADER):
         t = _parse_int(path, lineno, f[0])
-        if cur_t is not None and t < cur_t:
+        if epochs and t < epochs[-1][0]:
             raise NonMonotonicTime(path, lineno,
-                                   f"time {t} goes back past {cur_t}")
-        if t != cur_t:
-            flush()
-            cur_t, cur_ids, cur_pts = t, [], []
-        cur_ids.append(_parse_int(path, lineno, f[1]))
-        cur_pts.append([_parse_float(path, lineno, s) for s in f[2:5]])
-    flush()
-    if not out:
+                                   f"time {t} goes back past {epochs[-1][0]}")
+        if not epochs or t != epochs[-1][0]:
+            ids, pts = [], []
+            epochs.append((t, ids, pts))
+        ids.append(_parse_int(path, lineno, f[1]))
+        pts.append([_parse_float(path, lineno, s) for s in f[2:5]])
+    if not epochs:
         raise EmptyStream(f"{path}: no observation records")
-    return out
+    return [(t, LandmarkObservation(t=t / 1e9, ids=np.array(ids),
+                                    points=np.array(pts)))
+            for t, ids, pts in epochs]
 
 
 def load_metrics_csv(path) -> list[MetricsRow]:
-    lines = _read_lines(path)
-    _check_header(path, lines, METRICS_HEADER)
-    out: list[MetricsRow] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        f = _split_fields(path, lineno, line, 21)
-        t = _parse_int(path, lineno, f[0])
-        v = [_parse_float(path, lineno, s) for s in f[1:]]
-        out.append(MetricsRow(t_ns=t, att=v[0], pos=v[1], vel=v[2], grav=v[3],
-                              quat=np.array(v[4:8]), p_est=np.array(v[8:11]),
-                              v_est=np.array(v[11:14]),
-                              sigma=np.array(v[14:17]),
-                              g_hat=np.array(v[17:20])))
-    if not out:
-        raise EmptyStream(f"{path}: no metrics records")
-    return out
+    return [MetricsRow(t_ns=t, att=v[0], pos=v[1], vel=v[2], grav=v[3],
+                       quat=np.array(v[4:8]), p_est=np.array(v[8:11]),
+                       v_est=np.array(v[11:14]), sigma=np.array(v[14:17]),
+                       g_hat=np.array(v[17:20]))
+            for t, v in _timed_records(path, METRICS_HEADER, "metrics")]
 
 
 def load_estimates_csv(path) -> list[EstimateSnapshot]:
-    lines = _read_lines(path)
-    _check_header(path, lines, ESTIMATES_HEADER)
-    out: list[EstimateSnapshot] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        f = _split_fields(path, lineno, line, 17)
-        t = _parse_int(path, lineno, f[0])
-        v = [_parse_float(path, lineno, s) for s in f[1:]]
-        out.append(EstimateSnapshot(t_ns=t, quat=np.array(v[0:4]),
-                                    pos=np.array(v[4:7]), vel=np.array(v[7:10]),
-                                    sigma=np.array(v[10:13]),
-                                    g_hat=np.array(v[13:16])))
-    if not out:
-        raise EmptyStream(f"{path}: no estimate records")
-    return out
+    return [EstimateSnapshot(t_ns=t, quat=np.array(v[0:4]), pos=np.array(v[4:7]),
+                             vel=np.array(v[7:10]), sigma=np.array(v[10:13]),
+                             g_hat=np.array(v[13:16]))
+            for t, v in _timed_records(path, ESTIMATES_HEADER, "estimate")]
 
 
 def align(imu, observations, truth=None):
@@ -336,9 +271,9 @@ def align(imu, observations, truth=None):
 def load_landmarks(map_path, obs_path):
     """Load and cross-validate the landmark map and observation stream.
 
-    Returns the map with its configuration report embedded, plus the epoch
-    list.  Raises :class:`~se23nav.measurement.UnknownLandmarkId` when an
-    observation references an id missing from the map and
+    Returns the map and the epoch list.  Raises
+    :class:`~se23nav.measurement.UnknownLandmarkId` when an observation
+    references an id missing from the map and
     :class:`~se23nav.measurement.InsufficientLandmarks` when any epoch holds
     fewer than three readings.
     """
@@ -350,7 +285,6 @@ def load_landmarks(map_path, obs_path):
             raise InsufficientLandmarks(
                 f"epoch at {t_ns} ns has {obs.ids.size} reading(s); "
                 "at least 3 are required")
-    lmap = replace(lmap, report=check_configuration(lmap))
     return lmap, observations
 
 
@@ -412,32 +346,47 @@ class RunConfig:
         return (self.gravity_mode,)
 
 
-_FLOAT_KEYS = {"duration", "imu_rate", "obs_rate", "max_correction_dt",
-               "noise_std_omega", "noise_std_accel", "noise_std_obs",
-               "k_w", "k_v", "k_a", "gamma_sigma", "k_sigma", "gamma_g", "mu",
-               "init_angle", "radius", "yaw_amp", "yaw_freq", "pitch_amp",
-               "pitch_freq", "pitch_phase"}
-_INT_KEYS = {"seed"}
-_TRIPLE_KEYS = {"g_ref", "init_axis", "init_pos", "init_vel", "center",
-                "amplitude", "freq", "phase"}
-_STR_KEYS = {"gravity_mode", "representation", "trajectory", "map_file"}
-_LIST_KEYS = {"waypoint_times"}
-_POINTS_KEYS = {"waypoint_points"}
-
-_ALL_KEYS = (_FLOAT_KEYS | _INT_KEYS | _TRIPLE_KEYS | _STR_KEYS
-             | _LIST_KEYS | _POINTS_KEYS)
-assert _ALL_KEYS == {f.name for f in fields(RunConfig)}
-
-# written configs list the keys in field order, which keeps them diffable
-_KEY_ORDER = tuple(f.name for f in fields(RunConfig))
-
-
 def _parse_triple(path, lineno, value: str) -> tuple:
     parts = value.split(",")
     if len(parts) != 3:
         raise ParseError(path, lineno, f"expected three comma-separated "
                          f"numbers, got {value!r}")
     return tuple(_parse_float(path, lineno, p) for p in parts)
+
+
+def _parse_seq(item, sep: str):
+    """Parser for a ``sep``-separated, possibly empty list of ``item``s."""
+    def parse(path, lineno, value: str) -> tuple:
+        return tuple(item(path, lineno, p) for p in value.split(sep)) if value else ()
+    return parse
+
+
+# (parse, format) of each value shape; a field's shape is that of its default
+_SCALAR_CODECS = {float: (_parse_float, _fmt),
+                  int: (_parse_int, lambda v: str(int(v))),
+                  str: (lambda path, lineno, value: value, str)}
+_TRIPLE_CODEC = (_parse_triple, _fmt_seq)
+_NAMED_CODECS = {
+    "waypoint_times": (_parse_seq(_parse_float, ","), _fmt_seq),
+    "waypoint_points": (_parse_seq(_parse_triple, ";"),
+                        lambda points: ";".join(_fmt_seq(p) for p in points)),
+}
+
+
+def _config_codec(f) -> tuple:
+    if f.name in _NAMED_CODECS:
+        return _NAMED_CODECS[f.name]
+    default = f.default
+    if type(default) is tuple and len(default) == 3:
+        return _TRIPLE_CODEC
+    if type(default) in _SCALAR_CODECS:
+        return _SCALAR_CODECS[type(default)]
+    raise TypeError(f"RunConfig.{f.name}: no file shape for a default of "
+                    f"type {type(default).__name__}")
+
+
+# every configuration key, in the order written configs list them
+_CONFIG_CODECS = {f.name: _config_codec(f) for f in fields(RunConfig)}
 
 
 def parse_config(path) -> RunConfig:
@@ -457,25 +406,11 @@ def parse_config(path) -> RunConfig:
             raise ParseError(path, lineno, f"expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _CONFIG_CODECS:
             raise ParseError(path, lineno, f"unknown configuration key {key!r}")
         if key in seen:
             raise ParseError(path, lineno, f"repeated configuration key {key!r}")
-        if key in _FLOAT_KEYS:
-            seen[key] = _parse_float(path, lineno, value)
-        elif key in _INT_KEYS:
-            seen[key] = _parse_int(path, lineno, value)
-        elif key in _TRIPLE_KEYS:
-            seen[key] = _parse_triple(path, lineno, value)
-        elif key in _LIST_KEYS:
-            seen[key] = tuple(_parse_float(path, lineno, p)
-                              for p in value.split(",")) if value else ()
-        elif key in _POINTS_KEYS:
-            seen[key] = tuple(_parse_triple(path, lineno, p)
-                              for p in value.split(";")) if value else ()
-        else:
-            seen[key] = value
+        seen[key] = _CONFIG_CODECS[key][0](path, lineno, value.strip())
     cfg = RunConfig(**seen)
     validate_config(cfg)
     return cfg
@@ -524,25 +459,10 @@ def validate_config(cfg: RunConfig) -> None:
         bad(str(e))
 
 
-def _fmt_value(key: str, value) -> str:
-    if key in _FLOAT_KEYS:
-        return _fmt(value)
-    if key in _INT_KEYS:
-        return str(int(value))
-    if key in _TRIPLE_KEYS:
-        return ",".join(_fmt(v) for v in value)
-    if key in _LIST_KEYS:
-        return ",".join(_fmt(v) for v in value)
-    if key in _POINTS_KEYS:
-        return ";".join(",".join(_fmt(c) for c in p) for p in value)
-    return str(value)
-
-
 def write_config(path, cfg: RunConfig) -> None:
-    lines = ["# closed-loop run configuration"]
-    for key in _KEY_ORDER:
-        lines.append(f"{key}={_fmt_value(key, getattr(cfg, key))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "# closed-loop run configuration",
+               (f"{key}={fmt(getattr(cfg, key))}"
+                for key, (_, fmt) in _CONFIG_CODECS.items()))
 
 
 def config_to_scenario(cfg: RunConfig, lmap: LandmarkMap,

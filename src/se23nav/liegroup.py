@@ -273,10 +273,6 @@ class NavState:
             raise ValueError("position and velocity must be 3-vectors")
 
 
-def nav_inverse(x: NavState) -> NavState:
-    return x.inverse()
-
-
 def nav_error(x: NavState, xhat: NavState) -> NavState:
     """Right-invariant estimation error ``x @ xhat^-1``.
 

@@ -48,7 +48,6 @@ class LandmarkMap:
     ids: np.ndarray
     positions: np.ndarray
     weights: np.ndarray
-    report: ConfigReport | None = None
 
     def __post_init__(self):
         ids = np.asarray(self.ids, dtype=int)

@@ -529,6 +529,21 @@ def build_streams(scn: Scenario):
     return truth, imu, observations
 
 
+def _engine_kwargs(scn: Scenario, gravity_mode: str,
+                   representation: str = MATRIX,
+                   keep_estimates: bool = False) -> dict:
+    """Keyword arguments of :func:`run_closed_loop` for one run of ``scn``."""
+    return dict(
+        gravity_mode=gravity_mode,
+        g_ref=np.asarray(scn.g_ref, dtype=float),
+        g0=None if scn.g0 is None else np.asarray(scn.g0, dtype=float),
+        sigma0=None if scn.sigma0 is None else np.asarray(scn.sigma0, dtype=float),
+        representation=representation,
+        obs_nominal_dt=1.0 / scn.obs_rate,
+        max_correction_dt=scn.max_correction_dt,
+        keep_estimates=keep_estimates)
+
+
 def run_scenario(scn: Scenario, representation: str = MATRIX,
                  keep_estimates: bool = False):
     """Build a scenario's streams and run the engine over them.
@@ -539,14 +554,7 @@ def run_scenario(scn: Scenario, representation: str = MATRIX,
     init_nav = apply_init_error(truth[0].nav(), scn.init_error)
     result = run_closed_loop(
         truth, imu, observations, scn.lmap, scn.gains, init_nav,
-        gravity_mode=scn.gravity_mode,
-        g_ref=np.asarray(scn.g_ref, dtype=float),
-        g0=None if scn.g0 is None else np.asarray(scn.g0, dtype=float),
-        sigma0=None if scn.sigma0 is None else np.asarray(scn.sigma0, dtype=float),
-        representation=representation,
-        obs_nominal_dt=1.0 / scn.obs_rate,
-        max_correction_dt=scn.max_correction_dt,
-        keep_estimates=keep_estimates)
+        **_engine_kwargs(scn, scn.gravity_mode, representation, keep_estimates))
     return truth, imu, observations, result
 
 

@@ -200,8 +200,6 @@ def test_acceptance_stochastic_boundedness():
         win80.append(windowed_sq(r80))
 
     elapsed = time.monotonic() - t0
-    assert elapsed < 300.0, f"stochastic battery took {elapsed:.1f} s"
-
     mean40, mean80 = float(np.mean(fin40)), float(np.mean(fin80))
     wmean40, wmean80 = float(np.mean(win40)), float(np.mean(win80))
     bound_ok = mean40 < 4.0 * nf40_final
@@ -229,7 +227,8 @@ def test_acceptance_stochastic_boundedness():
         "phases at 40 s and 80 s; window-averaged errors are level while "
         "single-instant ones wobble with that phase."
     )
-    assert bound_ok and horizon_ok, report
+    assert bound_ok and horizon_ok and elapsed < 300.0, (
+        report + f"\nruntime: {elapsed:.1f} s against the 300 s budget")
 
 
 def test_acceptance_adaptive_gravity():

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from se23nav import InsufficientLandmarks, LandmarkMap, LandmarkObservation, UnknownLandmarkId
-from se23nav.dataio import (BOTH_GRAVITY, EmptyStream, NonMonotonicTime,
-                            ParseError, RunConfig, ValidationError, align,
+from se23nav import (InsufficientLandmarks, LandmarkMap, LandmarkObservation,
+                     UnknownLandmarkId, check_configuration, dataio)
+from se23nav.dataio import (BOTH_GRAVITY, ESTIMATES_HEADER, METRICS_HEADER,
+                            EmptyStream, NonMonotonicTime, ParseError,
+                            RunConfig, ValidationError, align,
                             config_override, config_to_scenario,
                             load_estimates_csv, load_imu_csv, load_landmarks,
                             load_map_csv, load_metrics_csv, load_obs_csv,
@@ -71,6 +73,12 @@ def test_map_roundtrip_and_validation(tmp_path):
     with pytest.raises(ParseError) as ei:
         load_map_csv(dup)
     assert "duplicate landmark ids" in str(ei.value)
+
+    # the error names the line of the first repeated id, not the last line
+    dup.write_text("id,px,py,pz,s\n1,0,0,0,1\n1,1,0,0,1\n2,0,1,0,1\n3,0,0,1,1\n")
+    with pytest.raises(ParseError) as ei:
+        load_map_csv(dup)
+    assert str(ei.value).startswith(f"{dup}:3: duplicate landmark ids")
 
     badw = tmp_path / "badw.csv"
     badw.write_text("id,px,py,pz,s\n1,0,0,0,0.0\n")
@@ -177,6 +185,15 @@ def test_parse_errors_carry_path_and_line(tmp_path):
     with pytest.raises(EmptyStream):
         load_imu_csv(p)
 
+    # scored and estimate-only outputs need strictly increasing time too
+    for header, load in ((METRICS_HEADER, load_metrics_csv),
+                         (ESTIMATES_HEADER, load_estimates_csv)):
+        row = ",".join(["0.0"] * header.count(","))
+        p.write_text(f"{header}\n7,{row}\n8,{row}\n8,{row}\n")
+        with pytest.raises(NonMonotonicTime) as ei:
+            load(p)
+        assert str(ei.value).startswith(f"{p}:4:")
+
     with pytest.raises(OSError) as ei:
         load_imu_csv(tmp_path / "missing.csv")
     assert "cannot read" in str(ei.value)
@@ -208,7 +225,7 @@ def test_load_landmarks_cross_validation(tmp_path):
     op.write_text("t_ns,id,yx,yy,yz\n"
                   "0,0,0,0,0\n0,1,0,0,0\n0,2,0,0,0\n")
     lmap, obs = load_landmarks(mp, op)
-    assert lmap.report is not None and lmap.report.ok
+    assert check_configuration(lmap).ok
     assert len(obs) == 1
 
     op.write_text("t_ns,id,yx,yy,yz\n0,0,0,0,0\n0,99,0,0,0\n0,2,0,0,0\n")
@@ -240,6 +257,27 @@ def test_config_roundtrip_default_and_waypoints(tmp_path):
     assert back == wp
     assert back.modes() == ("known", "adaptive")
     assert RunConfig().modes() == ("known",)
+
+    # every key away from its default, so each key's value shape round-trips
+    every = RunConfig(
+        duration=3.5, imu_rate=100.0, obs_rate=25.0, gravity_mode="adaptive",
+        representation="quaternion", seed=9, max_correction_dt=0.2,
+        noise_std_omega=0.01, noise_std_accel=0.02, noise_std_obs=1.0 / 3.0,
+        k_w=2.5, k_v=7.0, k_a=8.0, gamma_sigma=1.5, k_sigma=0.3, gamma_g=1.25,
+        mu=0.5, g_ref=(0.1, -0.2, -9.8), init_angle=math.pi / 7.0,
+        init_axis=(0.0, 1.0, 2.0), init_pos=(1.0, 2.0, -3.0),
+        init_vel=(0.5, -0.25, 0.125), trajectory="waypoints",
+        center=(1.0, 2.0, 3.0), amplitude=(0.5, 0.25, 0.1),
+        freq=(0.3, 0.2, 0.1), phase=(0.1, 0.2, 0.3), radius=3.0,
+        yaw_amp=0.9, yaw_freq=0.45, pitch_amp=0.3, pitch_freq=0.35,
+        pitch_phase=0.6, waypoint_times=(0.0, 2.0, 3.5),
+        waypoint_points=((5.0, 5.0, 5.0), (6.0, 4.5, 5.5), (5.5, 6.0, 4.0)),
+        map_file="survey.csv")
+    default = RunConfig()
+    assert all(getattr(every, f.name) != getattr(default, f.name)
+               for f in dataclasses.fields(RunConfig))
+    write_config(p, every)
+    assert parse_config(p) == every
 
 
 def test_config_parse_tolerates_spacing_and_comments(tmp_path):
@@ -327,3 +365,13 @@ def test_config_to_scenario_and_override():
     assert config_override(cfg, duration=5.0).duration == 5.0
     # the original is untouched
     assert cfg.duration == 2.0
+
+
+def test_config_shape_lookup_rejects_unknown_default():
+    @dataclasses.dataclass
+    class WithFlag:
+        verbose: bool = False
+
+    with pytest.raises(TypeError) as ei:
+        dataio._config_codec(dataclasses.fields(WithFlag)[0])
+    assert "verbose" in str(ei.value)
