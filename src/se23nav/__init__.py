@@ -8,8 +8,8 @@ online when it is not known.
 """
 
 from .liegroup import (NavState, NavTangent, NotSkewSymmetric, nav_error,
-                       rodrigues_exp, se23_exp, se23_exp_closed, skew,
-                       so3_distance, so3_gammas, vex, vex_antisym)
+                       rodrigues_exp, se23_exp, skew, so3_distance,
+                       so3_gammas, vex, vex_antisym)
 from .measurement import (ConfigReport, InsufficientLandmarks, LandmarkMap,
                           LandmarkObservation, MeasurementSummary,
                           UnknownLandmarkId, aggregate, check_configuration,
@@ -44,7 +44,7 @@ __all__ = [
     "gravity_step", "hover_scenario", "nav_error", "predict",
     "predict_quaternion", "quat_from_rotvec", "quat_product", "quat_to_rot",
     "rodrigues_exp", "rot_to_quat", "run_closed_loop", "run_scenario",
-    "se23_exp", "se23_exp_closed", "sigma_step", "skew", "so3_distance",
+    "se23_exp", "sigma_step", "skew", "so3_distance",
     "so3_gammas", "step", "summarize",
     "synthesize_observation", "vex", "vex_antisym",
 ]

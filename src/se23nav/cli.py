@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .liegroup import NotSkewSymmetric
+from .liegroup import (NavState, NavTangent, NotSkewSymmetric, rodrigues_exp,
+                       se23_exp)
 from .measurement import (InsufficientLandmarks, UnknownLandmarkId,
                           check_configuration, sym3_eigvals)
-from .observer import (QUATERNION, ModeError, NonFiniteState,
-                       inject_w_omega_sign_fault)
-from .quaternion import NonUnitQuaternion
+from .observer import (MATRIX, QUATERNION, ModeError, NonFiniteState,
+                       ObserverState, inject_w_omega_sign_fault, predict)
+from .quaternion import NonUnitQuaternion, quat_from_rotvec, quat_to_rot
 from .simulator import (ATT_CONVERGED, _engine_kwargs, apply_init_error,
                         build_streams, default_scenario, generate_truth,
                         hover_scenario, run_closed_loop, run_scenario,
@@ -97,10 +98,8 @@ def _print_mode_summary(mode: str, result) -> None:
 
 
 def _print_estimate_summary(mode: str, result) -> None:
-    est = result.estimates
-    last = est[-1]
-    p, v = last.pos, last.vel
-    print(f"mode {mode}: no ground truth; {len(est)} estimate epochs")
+    p, v = result.final.p_est, result.final.v_est
+    print(f"mode {mode}: no ground truth; {len(result.rows)} estimate epochs")
     print(f"  final position  ({p[0]:.6g}, {p[1]:.6g}, {p[2]:.6g}) m")
     print(f"  final velocity  ({v[0]:.6g}, {v[1]:.6g}, {v[2]:.6g}) m/s")
 
@@ -231,11 +230,10 @@ def run_replay(args) -> int:
         for mode in cfg.modes():
             result = run_closed_loop(
                 truth, imu, observations, lmap, scenario.gains, init_nav,
-                **_engine_kwargs(scenario, mode, cfg.representation,
-                                 keep_estimates=not truth))
+                **_engine_kwargs(scenario, mode, cfg.representation))
             if not truth:
                 name = _series_name(cfg, mode, stem="estimates", replayed=True)
-                dataio.write_estimates_csv(out / name, result.estimates)
+                dataio.write_estimates_csv(out / name, result.rows)
                 _print_estimate_summary(mode, result)
                 print(f"  wrote {out / name}")
                 continue
@@ -308,20 +306,21 @@ def _sample_projection_bounds(n: int, rng) -> tuple[int, int]:
 
 def _selftest_checks(quick: bool, inject: bool):
     """Yield (name, passed, detail) tuples for the built-in battery."""
-    from .liegroup import NavTangent, se23_exp, se23_exp_closed
-    from .quaternion import quat_from_rotvec, quat_to_rot
-    from .liegroup import rodrigues_exp
-
     rng = np.random.default_rng(20240817)
 
     worst = 0.0
     for _ in range(50):
-        u = NavTangent(omega=rng.normal(size=3), p_col=rng.normal(size=3),
-                       v_col=rng.normal(size=3), coupling=rng.normal())
+        x = NavState(rodrigues_exp(rng.normal(size=3)), rng.normal(size=3),
+                     rng.normal(size=3))
+        w, a = rng.normal(size=3), rng.normal(size=3)
         dt = float(rng.uniform(0.001, 0.5))
-        d = np.max(np.abs(se23_exp_closed(u, dt) - se23_exp(u, dt)))
-        worst = max(worst, float(d))
-    yield ("group exponential closed form", worst < 1e-10,
+        flow = se23_exp(NavTangent(omega=w, v_col=a), dt)
+        for rep in (MATRIX, QUATERNION):
+            s = ObserverState.create(x, g_ref=np.zeros(3), representation=rep)
+            d = np.abs(predict(s, w, a, dt).nav.as_matrix()[:3]
+                       - (s.nav.as_matrix() @ flow)[:3])
+            worst = max(worst, float(np.max(d)))
+    yield ("prediction step is the group exponential", worst < 1e-10,
            f"max deviation {worst:.3e}")
 
     worst = 0.0

@@ -16,7 +16,7 @@ Streams:
   form one epoch)
 - metrics       four error norms, then the estimated state and adapted
   quantities (header in :data:`METRICS_HEADER`; strictly increasing time)
-- estimates     the metrics layout minus the error columns, for runs scored
+- estimates     the metrics layout minus the error columns, for runs
   without ground truth (header in :data:`ESTIMATES_HEADER`; strictly
   increasing time)
 
@@ -35,9 +35,9 @@ import numpy as np
 from .measurement import InsufficientLandmarks, LandmarkMap, LandmarkObservation
 from .observer import (ADAPTIVE_GRAVITY, KNOWN_GRAVITY, MATRIX,
                        REPRESENTATIONS, Gains)
-from .simulator import (DEFAULT_MAX_CORRECTION_DT, EstimateSnapshot,
-                        ImuSample, InitError, MetricsRow, NoiseSpec, Scenario,
-                        TrajectorySpec, TruthSample, merge_events)
+from .simulator import (DEFAULT_MAX_CORRECTION_DT, ImuSample, InitError,
+                        MetricsRow, NoiseSpec, Scenario, TrajectorySpec,
+                        TruthSample, merge_events)
 
 IMU_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
 TRUTH_HEADER = "t_ns,qw,qx,qy,qz,px,py,pz,vx,vy,vz"
@@ -171,17 +171,21 @@ def write_obs_csv(path, observations) -> None:
                                   for i, y in zip(obs.ids, obs.points)))
 
 
+def _state_values(r: MetricsRow) -> list:
+    """The values of a row's :data:`_STATE_COLS`."""
+    return [*r.quat, *r.p_est, *r.v_est, *r.sigma, *r.g_hat]
+
+
 def write_metrics_csv(path, rows) -> None:
     _write_csv(path, METRICS_HEADER, (
-        _fmt_row(r.t_ns, [r.att, r.pos, r.vel, r.grav, *r.quat, *r.p_est,
-                          *r.v_est, *r.sigma, *r.g_hat]) for r in rows))
+        _fmt_row(r.t_ns, [r.att, r.pos, r.vel, r.grav, *_state_values(r)])
+        for r in rows))
 
 
-def write_estimates_csv(path, snapshots) -> None:
+def write_estimates_csv(path, rows) -> None:
     """Estimate-only series, used when a run has no ground truth to score."""
-    _write_csv(path, ESTIMATES_HEADER, (
-        _fmt_row(s.t_ns, [*s.quat, *s.pos, *s.vel, *s.sigma, *s.g_hat])
-        for s in snapshots))
+    _write_csv(path, ESTIMATES_HEADER, (_fmt_row(r.t_ns, _state_values(r))
+                                        for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +231,11 @@ def load_obs_csv(path) -> list[tuple[int, LandmarkObservation]]:
         if not epochs or t != epochs[-1][0]:
             ids, pts = [], []
             epochs.append((t, ids, pts))
-        ids.append(_parse_int(path, lineno, f[1]))
+        i = _parse_int(path, lineno, f[1])
+        if i in ids:
+            raise ParseError(path, lineno, f"landmark id {i} repeated within "
+                             f"the epoch at {t} ns")
+        ids.append(i)
         pts.append([_parse_float(path, lineno, s) for s in f[2:5]])
     if not epochs:
         raise EmptyStream(f"{path}: no observation records")
@@ -236,18 +244,21 @@ def load_obs_csv(path) -> list[tuple[int, LandmarkObservation]]:
             for t, ids, pts in epochs]
 
 
+def _state_row(t_ns: int, errors, v) -> MetricsRow:
+    """A row from its four error norms and the values of :data:`_STATE_COLS`."""
+    return MetricsRow(t_ns, *errors, quat=np.array(v[0:4]),
+                      p_est=np.array(v[4:7]), v_est=np.array(v[7:10]),
+                      sigma=np.array(v[10:13]), g_hat=np.array(v[13:16]))
+
+
 def load_metrics_csv(path) -> list[MetricsRow]:
-    return [MetricsRow(t_ns=t, att=v[0], pos=v[1], vel=v[2], grav=v[3],
-                       quat=np.array(v[4:8]), p_est=np.array(v[8:11]),
-                       v_est=np.array(v[11:14]), sigma=np.array(v[14:17]),
-                       g_hat=np.array(v[17:20]))
+    return [_state_row(t, v[:4], v[4:])
             for t, v in _timed_records(path, METRICS_HEADER, "metrics")]
 
 
-def load_estimates_csv(path) -> list[EstimateSnapshot]:
-    return [EstimateSnapshot(t_ns=t, quat=np.array(v[0:4]), pos=np.array(v[4:7]),
-                             vel=np.array(v[7:10]), sigma=np.array(v[10:13]),
-                             g_hat=np.array(v[13:16]))
+def load_estimates_csv(path) -> list[MetricsRow]:
+    """Rows without error norms (``None``)."""
+    return [_state_row(t, (None,) * 4, v)
             for t, v in _timed_records(path, ESTIMATES_HEADER, "estimate")]
 
 
@@ -460,6 +471,13 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def write_config(path, cfg: RunConfig) -> None:
+    """Raises :class:`ValidationError` for a string value that would not read
+    back unchanged: one holding ``#`` or a line break, or padded with
+    whitespace."""
+    for key, value in vars(cfg).items():
+        if isinstance(value, str) and ("#" in value or value != value.strip()
+                                       or len(value.splitlines()) > 1):
+            raise ValidationError(f"{key}={value!r} would not read back unchanged")
     _write_csv(path, "# closed-loop run configuration",
                (f"{key}={fmt(getattr(cfg, key))}"
                 for key, (_, fmt) in _CONFIG_CODECS.items()))

@@ -128,7 +128,7 @@ def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(G0, G1, G2)`` where ``G0 = exp(skew(w))``,
     ``G1 = int_0^1 exp(s skew(w)) ds`` and ``G2 = int_0^1 (1-s) exp(s skew(w)) ds``.
-    These are the blocks that assemble the closed-form 5x5 exponential.
+    These are the blocks of the closed-form flow in ``observer.predict``.
     """
     w = np.asarray(w, dtype=float)
     theta = float(np.linalg.norm(w))
@@ -194,27 +194,6 @@ def se23_exp(u: NavTangent, dt: float = 1.0) -> np.ndarray:
         e = np.eye(5) + (a / k) @ e
     for _ in range(squarings):
         e = e @ e
-    return e
-
-
-def se23_exp_closed(u: NavTangent, dt: float = 1.0) -> np.ndarray:
-    """Closed-form equivalent of :func:`se23_exp` built from :func:`so3_gammas`.
-
-    Fast path for the per-sample propagation loop; agrees with the generic
-    scaling-and-squaring route to 1e-12 (covered by the test suite).
-    """
-    w = np.asarray(u.omega, dtype=float) * dt
-    b = np.asarray(u.p_col, dtype=float) * dt
-    c = np.asarray(u.v_col, dtype=float) * dt
-    k = u.coupling * dt
-    g0, g1, g2 = so3_gammas(w)
-    e = np.zeros((5, 5))
-    e[:3, :3] = g0
-    e[:3, 3] = g1 @ b + k * (g2 @ c)
-    e[:3, 4] = g1 @ c
-    e[3, 3] = 1.0
-    e[4, 4] = 1.0
-    e[4, 3] = k
     return e
 
 

@@ -64,15 +64,15 @@ class LandmarkMap:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_rows", {int(i): k for k, i in enumerate(ids)})
 
     def __len__(self) -> int:
         return int(self.ids.size)
 
     def index_of(self, ids: np.ndarray) -> np.ndarray:
         """Row indices of the given ids; raises UnknownLandmarkId on a miss."""
-        lookup = {int(i): k for k, i in enumerate(self.ids)}
         try:
-            return np.array([lookup[int(i)] for i in ids], dtype=int)
+            return np.array([self._rows[int(i)] for i in ids], dtype=int)
         except KeyError as e:
             raise UnknownLandmarkId(f"observation references unknown landmark id {e.args[0]}")
 

@@ -8,8 +8,8 @@ perturbed by seeded Gaussian noise, and are treated as constant over the
 following sample interval.
 
 The engine consumes three time-stamped streams (truth, inertial, landmark
-epochs) merged on an integer-nanosecond clock and produces one metrics row
-per instant where truth is available.  Simulation and replay drive the same
+epochs) merged on an integer-nanosecond clock and records one row per
+instant where truth is available.  Simulation and replay drive the same
 engine with the same float values, which is what makes replay reproduce a
 recorded run bit for bit.
 """
@@ -324,29 +324,18 @@ def synthesize_imu(spec: TrajectorySpec, t_ns: np.ndarray,
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """One metrics record: the four error norms against truth, the estimated
-    state (attitude as a unit quaternion) and the adapted quantities."""
+    """One run record: the four error norms against truth (``None`` for a
+    run without truth), the estimated state (attitude as a unit quaternion)
+    and the adapted quantities."""
 
     t_ns: int
-    att: float
-    pos: float
-    vel: float
-    grav: float
+    att: float | None
+    pos: float | None
+    vel: float | None
+    grav: float | None
     quat: np.ndarray
     p_est: np.ndarray
     v_est: np.ndarray
-    sigma: np.ndarray
-    g_hat: np.ndarray
-
-
-@dataclass(frozen=True)
-class EstimateSnapshot:
-    """Estimated state at one instant, for runs scored without ground truth."""
-
-    t_ns: int
-    quat: np.ndarray
-    pos: np.ndarray
-    vel: np.ndarray
     sigma: np.ndarray
     g_hat: np.ndarray
 
@@ -355,15 +344,15 @@ class EstimateSnapshot:
 class RunResult:
     """Outcome of one closed-loop run.
 
-    ``rows`` has one entry per instant with ground truth; ``initial`` is the
-    pre-correction error at the first such instant.  Without any truth both
-    are empty and only ``estimates`` carries the trajectory.
+    ``rows`` has one entry per instant with ground truth, or per processed
+    instant when there is no truth at all (its error norms are then
+    ``None``); ``initial`` is the pre-correction error at the first instant
+    with truth, ``None`` without truth.
     """
 
     rows: list
     initial: Metrics | None
     final_state: ObserverState
-    estimates: list | None = None
 
     @property
     def final(self) -> MetricsRow:
@@ -400,16 +389,16 @@ def run_closed_loop(truth: Sequence[TruthSample],
                     sigma0: np.ndarray | None = None,
                     representation: str = MATRIX,
                     obs_nominal_dt: float = 0.05,
-                    max_correction_dt: float = DEFAULT_MAX_CORRECTION_DT,
-                    keep_estimates: bool = False) -> RunResult:
+                    max_correction_dt: float = DEFAULT_MAX_CORRECTION_DT) -> RunResult:
     """Run the estimator over merged time-stamped streams.
 
     Inertial samples are held constant until the next sample arrives
     (propagation happens when the clock advances past them).  Landmark
     epochs correct the predicted state over the interval since the previous
     correction, capped at ``max_correction_dt``; the first epoch uses
-    ``obs_nominal_dt``.  One metrics row is emitted per instant at which
-    truth is known, after every event at that instant has been processed.
+    ``obs_nominal_dt``.  One row is recorded per instant at which truth is
+    known, or per processed instant when ``truth`` is empty, after every
+    event at that instant has been processed.
     """
     state = ObserverState.create(init_estimate, gravity_mode=gravity_mode,
                                  g_ref=g_ref, g0=g0, sigma0=sigma0,
@@ -420,31 +409,27 @@ def run_closed_loop(truth: Sequence[TruthSample],
 
     g_true = np.asarray(g_ref, dtype=float)
     rows: list[MetricsRow] = []
-    estimates: list[EstimateSnapshot] | None = [] if keep_estimates else None
-    cur_truth: TruthSample | None = None
     pending_imu: ImuSample | None = None
     state_t_ns: int | None = None
     last_corr_ns: int | None = None
     initial: Metrics | None = None
 
     for t_ns, group in groupby(events, key=lambda e: e[0]):
-        evs = list(group)
-        if state_t_ns is not None and t_ns > state_t_ns and pending_imu is not None:
-            dt = (t_ns - state_t_ns) / NS_PER_S
-            state = predict(state, pending_imu.omega, pending_imu.accel, dt)
+        if pending_imu is not None:
+            state = predict(state, pending_imu.omega, pending_imu.accel,
+                            (t_ns - state_t_ns) / NS_PER_S)
         state_t_ns = t_ns
 
-        for _, kind, payload in evs:
+        true_nav = None
+        for _, kind, payload in group:
             if kind == _EV_TRUTH:
-                cur_truth = payload
-        if initial is None and cur_truth is not None:
-            initial = error_metrics(cur_truth.nav(), state, g_true)
-            warn_if_unstable(cur_truth.nav().r @ state.nav.r.T)
-
-        for _, kind, payload in evs:
-            if kind == _EV_IMU:
+                true_nav = payload.nav()
+                if initial is None:
+                    initial = error_metrics(true_nav, state, g_true)
+                    warn_if_unstable(true_nav.r @ state.nav.r.T)
+            elif kind == _EV_IMU:
                 pending_imu = payload
-            elif kind == _EV_OBS:
+            else:
                 if last_corr_ns is None:
                     dt_c = obs_nominal_dt
                 else:
@@ -453,28 +438,19 @@ def run_closed_loop(truth: Sequence[TruthSample],
                 state = correct(state, lmap, payload, gains, dt_c)
                 last_corr_ns = t_ns
 
-        has_truth_now = cur_truth is not None and cur_truth.t_ns == t_ns
-        if has_truth_now or estimates is not None:
-            q_est = rot_to_quat(state.nav.r) if state.quat is None else state.quat.copy()
-            if has_truth_now:
-                met = error_metrics(cur_truth.nav(), state, g_true)
-                rows.append(MetricsRow(
-                    t_ns=t_ns, att=met.att, pos=met.pos, vel=met.vel,
-                    grav=met.grav, quat=q_est, p_est=state.nav.p.copy(),
-                    v_est=state.nav.v.copy(), sigma=state.sigma_hat.copy(),
-                    g_hat=state.g_hat.copy()))
-            if estimates is not None:
-                estimates.append(EstimateSnapshot(
-                    t_ns=t_ns, quat=q_est, pos=state.nav.p.copy(),
-                    vel=state.nav.v.copy(), sigma=state.sigma_hat.copy(),
-                    g_hat=state.g_hat.copy()))
+        if true_nav is None and truth:
+            continue
+        errors = (None,) * 4
+        if true_nav is not None:
+            met = error_metrics(true_nav, state, g_true)
+            errors = (met.att, met.pos, met.vel, met.grav)
+        rows.append(MetricsRow(
+            t_ns, *errors,
+            quat=rot_to_quat(state.nav.r) if state.quat is None else state.quat.copy(),
+            p_est=state.nav.p.copy(), v_est=state.nav.v.copy(),
+            sigma=state.sigma_hat.copy(), g_hat=state.g_hat.copy()))
 
-    if truth and not rows:
-        raise ValueError("ground truth never coincided with a processed instant")
-    if not rows and estimates is None:
-        raise ValueError("no ground truth given and estimates were not kept")
-    return RunResult(rows=rows, initial=initial, final_state=state,
-                     estimates=estimates)
+    return RunResult(rows=rows, initial=initial, final_state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +506,7 @@ def build_streams(scn: Scenario):
 
 
 def _engine_kwargs(scn: Scenario, gravity_mode: str,
-                   representation: str = MATRIX,
-                   keep_estimates: bool = False) -> dict:
+                   representation: str = MATRIX) -> dict:
     """Keyword arguments of :func:`run_closed_loop` for one run of ``scn``."""
     return dict(
         gravity_mode=gravity_mode,
@@ -540,12 +515,10 @@ def _engine_kwargs(scn: Scenario, gravity_mode: str,
         sigma0=None if scn.sigma0 is None else np.asarray(scn.sigma0, dtype=float),
         representation=representation,
         obs_nominal_dt=1.0 / scn.obs_rate,
-        max_correction_dt=scn.max_correction_dt,
-        keep_estimates=keep_estimates)
+        max_correction_dt=scn.max_correction_dt)
 
 
-def run_scenario(scn: Scenario, representation: str = MATRIX,
-                 keep_estimates: bool = False):
+def run_scenario(scn: Scenario, representation: str = MATRIX):
     """Build a scenario's streams and run the engine over them.
 
     Returns (truth, imu, observations, result).
@@ -554,7 +527,7 @@ def run_scenario(scn: Scenario, representation: str = MATRIX,
     init_nav = apply_init_error(truth[0].nav(), scn.init_error)
     result = run_closed_loop(
         truth, imu, observations, scn.lmap, scn.gains, init_nav,
-        **_engine_kwargs(scn, scn.gravity_mode, representation, keep_estimates))
+        **_engine_kwargs(scn, scn.gravity_mode, representation))
     return truth, imu, observations, result
 
 
@@ -565,7 +538,7 @@ def summarize(result: RunResult) -> dict:
     """Run summary: initial and final errors, the time the attitude error
     first dropped below :data:`ATT_CONVERGED`, and per-metric mean-square
     values over the last fifth of the run."""
-    if not result.rows:
+    if result.initial is None:
         fs = result.final_state
         return {"samples": 0, "sigma_hat": fs.sigma_hat.tolist(),
                 "g_hat": fs.g_hat.tolist()}

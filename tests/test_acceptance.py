@@ -168,6 +168,7 @@ def test_acceptance_noise_free_convergence():
     assert final.vel < 4.5e-3
 
 
+@pytest.mark.slow
 def test_acceptance_stochastic_boundedness():
     # Mean squared terminal error over 50 noisy seeds must stay below 4x the
     # noise-free terminal value, and must not increase when the horizon
@@ -231,6 +232,7 @@ def test_acceptance_stochastic_boundedness():
         report + f"\nruntime: {elapsed:.1f} s against the 300 s budget")
 
 
+@pytest.mark.slow
 def test_acceptance_adaptive_gravity():
     # Gravity estimate starts at zero in adaptive mode.
     *_, res = run_scenario(default_scenario(gravity_mode=ADAPTIVE_GRAVITY))

@@ -106,16 +106,17 @@ def test_replay_without_truth_writes_estimates(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "no ground truth recorded" in text
     assert "final position" in text
-    snaps = load_estimates_csv(out / "estimates_replay.csv")
-    assert len(snaps) == len(recorded)
+    unscored = load_estimates_csv(out / "estimates_replay.csv")
+    assert len(unscored) == len(recorded)
     # the estimate-only replay walks the identical state trajectory
-    for row, snap in zip(recorded, snaps):
-        assert row.t_ns == snap.t_ns
-        assert np.array_equal(row.quat, snap.quat)
-        assert np.array_equal(row.p_est, snap.pos)
-        assert np.array_equal(row.v_est, snap.vel)
-        assert np.array_equal(row.sigma, snap.sigma)
-        assert np.array_equal(row.g_hat, snap.g_hat)
+    for row, est in zip(recorded, unscored):
+        assert row.t_ns == est.t_ns
+        assert est.att is None and est.pos is None
+        assert np.array_equal(row.quat, est.quat)
+        assert np.array_equal(row.p_est, est.p_est)
+        assert np.array_equal(row.v_est, est.v_est)
+        assert np.array_equal(row.sigma, est.sigma)
+        assert np.array_equal(row.g_hat, est.g_hat)
 
 
 def test_bad_configuration_exits_2(tmp_path, capsys):

@@ -21,8 +21,8 @@ from se23nav.dataio import (BOTH_GRAVITY, ESTIMATES_HEADER, METRICS_HEADER,
                             load_truth_csv, parse_config, write_config,
                             write_estimates_csv, write_imu_csv, write_map_csv,
                             write_metrics_csv, write_obs_csv, write_truth_csv)
-from se23nav.simulator import (EstimateSnapshot, ImuSample, MetricsRow,
-                               TruthSample, default_landmark_map)
+from se23nav.simulator import (ImuSample, MetricsRow, TruthSample,
+                               default_landmark_map)
 
 AWKWARD = [math.pi, 1.0 / 3.0, -2.5e-7, 9.81, -1.0, 0.0]
 
@@ -128,17 +128,27 @@ def test_metrics_and_estimates_roundtrip(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert loaded[2].pos == rows[2].pos
 
-    snaps = [EstimateSnapshot(t_ns=5_000_000 * k,
-                              quat=np.array([0.5, 0.5, 0.5, 0.5]),
-                              pos=np.array([1.0, 2.0, 3.0]) * k,
-                              vel=np.zeros(3), sigma=np.full(3, 0.25),
-                              g_hat=np.zeros(3))
-             for k in range(3)]
+    # estimate-only rows carry no error norms; the estimates file drops them
+    unscored = [MetricsRow(t_ns=5_000_000 * k, att=None, pos=None, vel=None,
+                           grav=None, quat=np.array([0.5, 0.5, 0.5, 0.5]),
+                           p_est=np.array([1.0, 2.0, 3.0]) * k,
+                           v_est=np.zeros(3), sigma=np.full(3, 0.25),
+                           g_hat=np.zeros(3))
+                for k in range(3)]
     c, d = tmp_path / "e1.csv", tmp_path / "e2.csv"
-    write_estimates_csv(c, snaps)
+    write_estimates_csv(c, unscored)
     eloaded = load_estimates_csv(c)
     write_estimates_csv(d, eloaded)
     assert c.read_bytes() == d.read_bytes()
+    assert all(r.att is None and r.pos is None and r.vel is None
+               and r.grav is None for r in eloaded)
+    assert np.array_equal(eloaded[2].p_est, unscored[2].p_est)
+    # a scored row writes the same estimate columns
+    e = tmp_path / "e3.csv"
+    write_estimates_csv(e, loaded)
+    from_scored = load_estimates_csv(e)
+    assert [r.t_ns for r in from_scored] == [r.t_ns for r in rows]
+    assert np.array_equal(from_scored[1].p_est, rows[1].p_est)
 
 
 def test_parse_errors_carry_path_and_line(tmp_path):
@@ -184,6 +194,14 @@ def test_parse_errors_carry_path_and_line(tmp_path):
     p.write_text("t_ns,wx,wy,wz,ax,ay,az\n")
     with pytest.raises(EmptyStream):
         load_imu_csv(p)
+
+    # one epoch reads each landmark at most once
+    p.write_text("t_ns,id,yx,yy,yz\n0,0,0,0,0\n0,1,0,0,0\n0,0,0,0,0\n"
+                 "0,2,0,0,0\n")
+    with pytest.raises(ParseError) as ei:
+        load_obs_csv(p)
+    assert str(ei.value).startswith(f"{p}:4:")
+    assert "landmark id 0 repeated" in str(ei.value)
 
     # scored and estimate-only outputs need strictly increasing time too
     for header, load in ((METRICS_HEADER, load_metrics_csv),
@@ -278,6 +296,15 @@ def test_config_roundtrip_default_and_waypoints(tmp_path):
                for f in dataclasses.fields(RunConfig))
     write_config(p, every)
     assert parse_config(p) == every
+
+    # a string value the reader would cut or strip is refused, not written
+    for bad in ("maps/site#2.csv", " lead.csv", "trail.csv ", "two\nlines.csv",
+                "two\rlines.csv"):
+        q = tmp_path / "refused.conf"
+        with pytest.raises(ValidationError) as ei:
+            write_config(q, dataclasses.replace(every, map_file=bad))
+        assert "map_file" in str(ei.value)
+        assert not q.exists()
 
 
 def test_config_parse_tolerates_spacing_and_comments(tmp_path):

@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import cross_matrix, expm_series, random_rotation
 
-from se23nav import (NavState, NavTangent, NotSkewSymmetric, nav_error,
-                     rodrigues_exp, se23_exp, se23_exp_closed, skew,
-                     so3_distance, so3_gammas, vex, vex_antisym)
+from se23nav import (MATRIX, QUATERNION, NavState, NavTangent,
+                     NotSkewSymmetric, ObserverState, nav_error, predict,
+                     rodrigues_exp, se23_exp, skew, so3_distance, so3_gammas,
+                     vex, vex_antisym)
 from se23nav.liegroup import antisym, is_rotation, orthonormalize_rows
 
 
@@ -149,32 +150,24 @@ def test_group_exponential_matches_oracles():
 
 
 def test_closed_form_exponential_matches_generic():
+    # one prediction step of a zero-gravity state is the closed-form flow of
+    # the constant inputs, so it must equal the state times the generic
+    # exponential of the tangent element (omega, specific force)
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(300):
-        u = NavTangent(omega=rng.normal(size=3) * 2.0,
-                       p_col=rng.normal(size=3) * 3.0,
-                       v_col=rng.normal(size=3) * 3.0,
-                       coupling=rng.normal())
+        x = NavState(random_rotation(rng), rng.normal(size=3) * 3.0,
+                     rng.normal(size=3) * 3.0)
+        w, a = rng.normal(size=3) * 2.0, rng.normal(size=3) * 3.0
         dt = float(rng.uniform(0.0005, 1.5))
-        d = np.max(np.abs(se23_exp_closed(u, dt) - se23_exp(u, dt)))
-        worst = max(worst, float(d))
+        flow = se23_exp(NavTangent(omega=w, v_col=a), dt)
+        for representation in (MATRIX, QUATERNION):
+            s = ObserverState.create(x, g_ref=np.zeros(3),
+                                     representation=representation)
+            got = predict(s, w, a, dt).nav.as_matrix()
+            want = s.nav.as_matrix() @ flow
+            worst = max(worst, float(np.max(np.abs(got[:3] - want[:3]))))
     assert worst < 1e-12
-
-
-def test_exponential_block_structure():
-    u = NavTangent(omega=np.array([0.2, -0.1, 0.3]),
-                   p_col=np.array([1.0, 2.0, 3.0]),
-                   v_col=np.array([-1.0, 0.5, 0.25]),
-                   coupling=0.7)
-    dt = 0.4
-    e = se23_exp_closed(u, dt)
-    g0, g1, g2 = so3_gammas(u.omega * dt)
-    assert abs(e[4, 3] - 0.7 * dt) < 1e-15
-    assert_allclose(e[:3, :3], g0, atol=1e-15)
-    assert_allclose(e[:3, 4], g1 @ (u.v_col * dt), atol=1e-14)
-    assert_allclose(e[3:, :3], np.zeros((2, 3)), atol=0)
-    assert e[3, 3] == 1.0 and e[4, 4] == 1.0
 
 
 def test_navstate_compose_inverse_roundtrip():

@@ -281,21 +281,24 @@ def test_run_without_ground_truth():
     truth, imu, observations = build_streams(scn)
     init = apply_init_error(truth[0].nav(), scn.init_error)
     result = run_closed_loop([], imu, observations, scn.lmap, scn.gains, init,
-                             obs_nominal_dt=1.0 / scn.obs_rate,
-                             keep_estimates=True)
-    assert result.rows == []
+                             obs_nominal_dt=1.0 / scn.obs_rate)
     assert result.initial is None
-    assert len(result.estimates) == len(imu)
-    assert result.estimates[0].t_ns == 0
-    assert result.estimates[-1].t_ns == imu[-1].t_ns
+    # one unscored row per processed instant
+    assert [r.t_ns for r in result.rows] == [s.t_ns for s in imu]
+    assert all(r.att is None and r.pos is None and r.vel is None
+               and r.grav is None for r in result.rows)
+    # the estimates are those of the scored run over the same streams
+    scored = run_closed_loop(truth, imu, observations, scn.lmap, scn.gains,
+                             init, obs_nominal_dt=1.0 / scn.obs_rate)
+    assert len(scored.rows) == len(result.rows)
+    for a, b in zip(scored.rows, result.rows):
+        assert a.t_ns == b.t_ns
+        for name in ("quat", "p_est", "v_est", "sigma", "g_hat"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
     s = summarize(result)
     assert s["samples"] == 0 and "g_hat" in s
     with pytest.raises(ValueError):
-        run_closed_loop([], imu, observations, scn.lmap, scn.gains, init,
-                        obs_nominal_dt=1.0 / scn.obs_rate)
-    with pytest.raises(ValueError):
-        run_closed_loop([], [], [], scn.lmap, scn.gains, init,
-                        keep_estimates=True)
+        run_closed_loop([], [], [], scn.lmap, scn.gains, init)
 
 
 def test_summarize_fields():
