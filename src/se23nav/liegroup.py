@@ -6,10 +6,22 @@ velocity as the fourth and fifth columns.  Tangent elements carry an extra
 scalar in the (5, 4) slot that couples the velocity column into the position
 column under the exponential, which is how constant-rate position updates
 arise from a single matrix product.
+
+The 3-vector kernels run once or more per inertial sample, where numpy's
+per-call overhead costs far more than the arithmetic.  They unpack their
+operands with ``tolist()``, compute elementwise terms in plain floats and
+build one array at the end.  Every matrix product (``@``) and inner product
+(``.dot``) stays in numpy: BLAS may fuse multiply-adds, so a hand-written
+sum would round differently.  Elementwise products, sums and the cross
+product round the same either way, and a norm is
+``math.sqrt(float(x.dot(x)))``, the expression ``np.linalg.norm`` evaluates.
+Sines and cosines stay ``np.sin`` and ``np.cos``.  The rewrite therefore
+keeps every output bit of the numpy formulas it replaced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +42,20 @@ class NotSkewSymmetric(ValueError):
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Map a 3-vector to the skew-symmetric matrix with ``skew(x) @ y = x cross y``."""
-    v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _cross(a, b) -> list:
+    """Cross product of two float 3-sequences, term for term as ``np.cross``."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector, the expression ``np.linalg.norm`` evaluates."""
+    return math.sqrt(float(x.dot(x)))
 
 
 def vex(s: np.ndarray) -> np.ndarray:
@@ -60,8 +80,8 @@ def antisym(a: np.ndarray) -> np.ndarray:
 
 def vex_antisym(a: np.ndarray) -> np.ndarray:
     """``vex`` of the anti-symmetric projection of an arbitrary 3x3 matrix."""
-    p = antisym(a)
-    return np.array([p[2, 1], p[0, 2], p[1, 0]])
+    (_, a01, a02), (a10, _, a12), (a20, a21, _) = np.asarray(a, dtype=float).tolist()
+    return np.array([0.5 * (a21 - a12), 0.5 * (a02 - a20), 0.5 * (a10 - a01)])
 
 
 def so3_distance(r: np.ndarray) -> float:
@@ -90,18 +110,18 @@ def orthonormalize_rows(r: np.ndarray) -> np.ndarray:
     Gram-Schmidt on the first two rows; the third is their cross product so
     the result is always right handed.
     """
-    r0 = r[0] / np.linalg.norm(r[0])
+    r0 = r[0] / _norm(r[0])
     r1 = r[1] - (r[1] @ r0) * r0
-    r1 = r1 / np.linalg.norm(r1)
-    return np.array([r0, r1, np.cross(r0, r1)])
+    r1 = r1 / _norm(r1)
+    return np.array([r0, r1, _cross(r0.tolist(), r1.tolist())])
 
 
 def _rot_coeffs(theta: float) -> tuple[float, float]:
     """Rodrigues coefficients sin(t)/t and (1-cos(t))/t^2, stable at zero."""
     if theta < SMALL_ANGLE:
         return 1.0 - theta * theta / 6.0, 0.5 - theta * theta / 24.0
-    c0 = np.sin(theta) / theta
-    half = np.sin(0.5 * theta)
+    c0 = float(np.sin(theta)) / theta
+    half = float(np.sin(0.5 * theta))
     c1 = 2.0 * half * half / (theta * theta)
     return c0, c1
 
@@ -118,9 +138,24 @@ def _int_coeffs(theta: float) -> tuple[float, float]:
         c3 = 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0 - t2 * t2 * t2 / 3628800.0
         return c2, c3
     t3 = theta ** 3
-    c2 = (theta - np.sin(theta)) / t3
-    c3 = (0.5 * theta * theta + np.cos(theta) - 1.0) / (t3 * theta)
+    c2 = (theta - float(np.sin(theta))) / t3
+    c3 = (0.5 * theta * theta + float(np.cos(theta)) - 1.0) / (t3 * theta)
     return c2, c3
+
+
+def _skew_quadratic(d: float, ca: float, cb: float, w: list, s2: list) -> np.ndarray:
+    """``d * I + ca * skew(w) + cb * s2``, summed in that order per entry.
+
+    The identity's zero entries are added too, so signed zeros come out as
+    they do from the matrix expression.
+    """
+    x, y, z = w
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = s2
+    return np.array([
+        [d + cb * a00, 0.0 + ca * -z + cb * a01, 0.0 + ca * y + cb * a02],
+        [0.0 + ca * z + cb * a10, d + cb * a11, 0.0 + ca * -x + cb * a12],
+        [0.0 + ca * -y + cb * a20, 0.0 + ca * x + cb * a21, d + cb * a22],
+    ])
 
 
 def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,15 +166,15 @@ def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     These are the blocks of the closed-form flow in ``observer.predict``.
     """
     w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
+    theta = _norm(w)
     s = skew(w)
-    s2 = s @ s
+    s2 = (s @ s).tolist()
     c0, c1 = _rot_coeffs(theta)
     c2, c3 = _int_coeffs(theta)
-    g0 = _I3 + c0 * s + c1 * s2
-    g1 = _I3 + c1 * s + c2 * s2
-    g2 = 0.5 * _I3 + c2 * s + c3 * s2
-    return g0, g1, g2
+    wl = w.tolist()
+    return (_skew_quadratic(1.0, c0, c1, wl, s2),
+            _skew_quadratic(1.0, c1, c2, wl, s2),
+            _skew_quadratic(0.5, c2, c3, wl, s2))
 
 
 def rodrigues_exp(omega: np.ndarray, dt: float = 1.0) -> np.ndarray:

@@ -64,17 +64,24 @@ class LandmarkMap:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_rows", {int(i): k for k, i in enumerate(ids)})
+        # index_of searches the sorted ids and maps back to survey rows
+        order = np.argsort(ids)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_sorted_ids", ids[order])
 
     def __len__(self) -> int:
         return int(self.ids.size)
 
     def index_of(self, ids: np.ndarray) -> np.ndarray:
-        """Row indices of the given ids; raises UnknownLandmarkId on a miss."""
-        try:
-            return np.array([self._rows[int(i)] for i in ids], dtype=int)
-        except KeyError as e:
-            raise UnknownLandmarkId(f"observation references unknown landmark id {e.args[0]}")
+        """Row indices of the given ids; raises UnknownLandmarkId naming the
+        first unknown id."""
+        ids = np.asarray(ids, dtype=int)
+        pos = np.minimum(self._sorted_ids.searchsorted(ids), self._sorted_ids.size - 1)
+        wanted, found = ids.tolist(), self._sorted_ids[pos].tolist()
+        if found != wanted:
+            missing = next(i for i, f in zip(wanted, found) if i != f)
+            raise UnknownLandmarkId(f"observation references unknown landmark id {missing}")
+        return self._order[pos]
 
 
 @dataclass(frozen=True)

@@ -16,16 +16,21 @@ elapsed since the previous correction.
 
 The attitude is kept as a rotation matrix or as a unit quaternion, chosen at
 :meth:`ObserverState.create`; both run the same update law.
+
+The per-sample arithmetic is written in plain floats under the rule stated
+in :mod:`se23nav.liegroup`: elementwise terms in floats, every matrix
+product in numpy.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .liegroup import (NavState, nav_error, orthonormalize_rows, skew,
+from .liegroup import (NavState, _cross, _norm, nav_error, orthonormalize_rows,
                        so3_distance, so3_gammas, vex_antisym)
 from .measurement import LandmarkMap, LandmarkObservation, MeasurementSummary, aggregate
 from .quaternion import (quat_from_rotvec, quat_normalize, quat_product,
@@ -180,22 +185,29 @@ def compute_corrections(summary: MeasurementSummary, state: ObserverState,
     ups = vex_antisym(summary.scatter_err)
     d = summary.att_dist
     r_ups = rhat.T @ ups
-    w_omega = (-gains.k_w * (d + 1.0) * ups
-               - 0.25 * ((d + 2.0) / (d + 1.0)) * (rhat @ (r_ups * state.sigma_hat)))
+    spread = (rhat @ (r_ups * state.sigma_hat)).tolist()
+    k_att = -gains.k_w * (d + 1.0)
+    k_spread = 0.25 * ((d + 2.0) / (d + 1.0))
+    w_omega = [k_att * u - k_spread * c for u, c in zip(ups.tolist(), spread)]
     if _FAULT_FLIP_W_OMEGA:
-        w_omega = -w_omega
-    w_vel = np.cross(summary.centroid, w_omega) - gains.k_v * summary.pos_innovation
-    w_acc = -state.g_hat - gains.k_a * summary.pos_innovation
+        w_omega = [-c for c in w_omega]
+    inn = summary.pos_innovation.tolist()
+    w_vel = [c - gains.k_v * e
+             for c, e in zip(_cross(summary.centroid.tolist(), w_omega), inn)]
+    w_acc = [-g - gains.k_a * e for g, e in zip(state.g_hat.tolist(), inn)]
     k_adapt = gains.gamma_sigma * (d + 2.0) / 8.0 * float(np.exp(d))
-    return Correction(w_omega=w_omega, w_vel=w_vel, w_acc=w_acc, k_adapt=k_adapt)
+    return Correction(w_omega=np.array(w_omega), w_vel=np.array(w_vel),
+                      w_acc=np.array(w_acc), k_adapt=k_adapt)
 
 
 def sigma_step(state: ObserverState, summary: MeasurementSummary,
                corr: Correction, gains: Gains, dt: float) -> np.ndarray:
     """One explicit-Euler update of the noise-covariance bound estimate."""
-    r_ups = state.nav.r.T @ vex_antisym(summary.scatter_err)
-    drive = corr.k_adapt * (r_ups * r_ups)
-    return state.sigma_hat + dt * drive - dt * gains.k_sigma * gains.gamma_sigma * state.sigma_hat
+    r_ups = (state.nav.r.T @ vex_antisym(summary.scatter_err)).tolist()
+    k = corr.k_adapt
+    decay = dt * gains.k_sigma * gains.gamma_sigma
+    return np.array([s + dt * (k * (u * u)) - decay * s
+                     for s, u in zip(state.sigma_hat.tolist(), r_ups)])
 
 
 def gravity_step(state: ObserverState, corr: Correction,
@@ -203,13 +215,16 @@ def gravity_step(state: ObserverState, corr: Correction,
     """One explicit-Euler update of the gravity estimate (adaptive mode only)."""
     if state.gravity_mode != ADAPTIVE_GRAVITY:
         raise ModeError("gravity adaptation requested in known-gravity mode")
-    rate = -np.cross(corr.w_omega, state.g_hat) + gains.mu * gains.gamma_g * summary.pos_innovation
-    return state.g_hat + dt * rate
+    g = state.g_hat.tolist()
+    k = gains.mu * gains.gamma_g
+    turned = _cross(corr.w_omega.tolist(), g)
+    return np.array([gi + dt * (-c + k * e) for gi, c, e
+                     in zip(g, turned, summary.pos_innovation.tolist())])
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
     for a in arrays:
-        if not np.all(np.isfinite(a)):
+        if not all(map(math.isfinite, a.ravel().tolist())):
             raise NonFiniteState("observer state left the finite range")
 
 
@@ -248,6 +263,18 @@ def _innovate(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
     return corr, sigma_step(state, summary, corr, gains, dt), g_hat
 
 
+def _flow(r: np.ndarray, p: np.ndarray, v: np.ndarray, a: np.ndarray,
+          g1: np.ndarray, g2: np.ndarray, dt: float) -> tuple[list, list]:
+    """Position and velocity, as float lists, after ``dt`` under the motion
+    inputs alone: ``p + v dt + r G2 a dt^2`` and ``v + r G1 a dt``."""
+    x2 = (r @ (g2 @ a)).tolist()
+    x1 = (r @ (g1 @ a)).tolist()
+    p, v = p.tolist(), v.tolist()
+    dt2 = dt * dt
+    return ([p[i] + v[i] * dt + x2[i] * dt2 for i in range(3)],
+            [v[i] + x1[i] * dt for i in range(3)])
+
+
 def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
             dt: float) -> ObserverState:
     """Propagate one inertial sample, including the current gravity estimate.
@@ -256,13 +283,15 @@ def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
     motion inputs act from the right, the gravity estimate from the left, so
     with exact inputs a zero-error state stays at zero error.
     """
-    r, p, v = state.nav.r, state.nav.p, state.nav.v
-    g_hat = state.g_hat
+    r = state.nav.r
     rotvec = np.asarray(omega_m, dtype=float) * dt
     g0, g1, g2 = so3_gammas(rotvec)
-    a = np.asarray(a_m, dtype=float)
-    p_new = p + v * dt + (r @ (g2 @ a)) * (dt * dt) + 0.5 * g_hat * (dt * dt)
-    v_new = v + (r @ (g1 @ a)) * dt + g_hat * dt
+    p_m, v_m = _flow(r, state.nav.p, state.nav.v, np.asarray(a_m, dtype=float),
+                     g1, g2, dt)
+    g = state.g_hat.tolist()
+    dt2 = dt * dt
+    p_new = np.array([p_m[i] + 0.5 * g[i] * dt2 for i in range(3)])
+    v_new = np.array([v_m[i] + g[i] * dt for i in range(3)])
     steps = state.steps + 1
     r_new, q_new, _ = _turn(r, state.quat, rotvec, g0, left=False, steps=steps)
     _check_finite(r_new, p_new, v_new)
@@ -281,13 +310,15 @@ def correct(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
     is part of :func:`predict`.
     """
     corr, sigma, g_hat = _innovate(state, lmap, obs, gains, dt)
-    # innovation part of the acceleration channel; gravity lives in predict
-    w_acc_inn = corr.w_acc + state.g_hat
-    rotvec = -corr.w_omega * dt
+    rotvec = np.array([-c * dt for c in corr.w_omega.tolist()])
     g0c, g1c, _ = so3_gammas(rotvec)
     r_new, q_new, turn = _turn(state.nav.r, state.quat, rotvec, g0c, left=True)
-    p_new = turn @ state.nav.p + g1c @ (-corr.w_vel * dt)
-    v_new = turn @ state.nav.v + g1c @ (-w_acc_inn * dt)
+    pos_in = np.array([-c * dt for c in corr.w_vel.tolist()])
+    # innovation part of the acceleration channel; gravity lives in predict
+    vel_in = np.array([-(c + g) * dt for c, g
+                       in zip(corr.w_acc.tolist(), state.g_hat.tolist())])
+    p_new = turn @ state.nav.p + g1c @ pos_in
+    v_new = turn @ state.nav.v + g1c @ vel_in
     _check_finite(r_new, p_new, v_new, sigma, g_hat)
     return ObserverState(nav=NavState(r_new, p_new, v_new), sigma_hat=sigma,
                          g_hat=g_hat, gravity_mode=state.gravity_mode,
@@ -303,27 +334,31 @@ def step(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
     evaluated at the predicted state, and the full correction (gravity
     included) is applied over the same ``dt``.
     """
-    r, p, v = state.nav.r, state.nav.p, state.nav.v
-    a = np.asarray(a_m, dtype=float)
+    r = state.nav.r
     rotvec = np.asarray(omega_m, dtype=float) * dt
     g0, g1, g2 = so3_gammas(rotvec)
     r_y, q_y, _ = _turn(r, state.quat, rotvec, g0, left=False)
-    p_y = p + v * dt + (r @ (g2 @ a)) * (dt * dt)
-    v_y = v + (r @ (g1 @ a)) * dt
+    p_y, v_y = map(np.array, _flow(r, state.nav.p, state.nav.v,
+                                   np.asarray(a_m, dtype=float), g1, g2, dt))
     # bookkeeping entry of the prediction product, consumed by the correction
     y54 = dt
 
     predicted = replace(state, nav=NavState(r_y, p_y, v_y), quat=q_y)
     corr, sigma, g_hat = _innovate(predicted, lmap, obs, gains, dt)
 
-    rotvec_c = -corr.w_omega * dt
+    w_acc = corr.w_acc.tolist()
+    rotvec_c = np.array([-c * dt for c in corr.w_omega.tolist()])
     g0c, g1c, g2c = so3_gammas(rotvec_c)
-    c4 = g1c @ (-corr.w_vel * dt) + g2c @ (corr.w_acc * dt) * dt
-    c5 = g1c @ (-corr.w_acc * dt)
+    vel_term = (g1c @ np.array([-c * dt for c in corr.w_vel.tolist()])).tolist()
+    acc_term = (g2c @ np.array([c * dt for c in w_acc])).tolist()
+    c5 = (g1c @ np.array([-c * dt for c in w_acc])).tolist()
     steps = state.steps + 1
     r_new, q_new, turn = _turn(r_y, q_y, rotvec_c, g0c, left=True, steps=steps)
-    p_new = turn @ p_y + c4 + c5 * y54
-    v_new = turn @ v_y + c5
+    tp = (turn @ p_y).tolist()
+    tv = (turn @ v_y).tolist()
+    p_new = np.array([tp[i] + (vel_term[i] + acc_term[i] * dt) + c5[i] * y54
+                      for i in range(3)])
+    v_new = np.array([tv[i] + c5[i] for i in range(3)])
     _check_finite(r_new, p_new, v_new, sigma, g_hat)
     return ObserverState(nav=NavState(r_new, p_new, v_new), sigma_hat=sigma,
                          g_hat=g_hat, gravity_mode=state.gravity_mode,
@@ -349,11 +384,8 @@ def error_metrics(x: NavState, state: ObserverState,
                   g_true: np.ndarray = GRAVITY_ENU) -> Metrics:
     """Error metrics of an estimate against the true state."""
     err = nav_error(x, state.nav)
-    grav = float(np.linalg.norm(g_true - err.r @ state.g_hat))
-    return Metrics(att=so3_distance(err.r),
-                   pos=float(np.linalg.norm(err.p)),
-                   vel=float(np.linalg.norm(err.v)),
-                   grav=grav)
+    return Metrics(att=so3_distance(err.r), pos=_norm(err.p), vel=_norm(err.v),
+                   grav=_norm(g_true - err.r @ state.g_hat))
 
 
 def on_unstable_set(r_err: np.ndarray, tol: float = UNSTABLE_TRACE_TOL) -> bool:

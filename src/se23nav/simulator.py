@@ -540,7 +540,7 @@ def summarize(result: RunResult) -> dict:
     values over the last fifth of the run."""
     if result.initial is None:
         fs = result.final_state
-        return {"samples": 0, "sigma_hat": fs.sigma_hat.tolist(),
+        return {"samples": len(result.rows), "sigma_hat": fs.sigma_hat.tolist(),
                 "g_hat": fs.g_hat.tolist()}
     last = result.final
     t_conv = None

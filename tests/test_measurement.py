@@ -162,6 +162,25 @@ def test_epoch_size_and_id_guards():
         synthesize_observation(x, lmap, ids=np.array([1, 2, 99]))
 
 
+def test_index_of_unsorted_negative_and_repeated_ids():
+    ids = np.array([40, -7, 3, 1000, -250, 12])
+    lmap = LandmarkMap(ids=ids, positions=np.arange(18.0).reshape(6, 3),
+                       weights=np.ones(6))
+    query = np.array([12, -250, 40, 40, 1000, -7, 3, 12])
+    rows = lmap.index_of(query)
+    assert rows.dtype == np.dtype(int)
+    assert list(ids[rows]) == list(query)
+    assert rows[2] == rows[3] == 0 and rows[0] == rows[7] == 5
+    assert lmap.index_of(np.array([], dtype=int)).size == 0
+    # the first unknown id in observation order is named, whether it lies
+    # between survey ids, below or above all of them
+    for query, missing in (([3, 5, -8], 5), ([3, -8, 5], -8), ([12, 13], 13),
+                           ([2000, 3], 2000), ([-251, 40], -251)):
+        with pytest.raises(UnknownLandmarkId) as err:
+            lmap.index_of(np.array(query))
+        assert str(err.value) == f"observation references unknown landmark id {missing}"
+
+
 def test_landmark_map_validation():
     with pytest.raises(ValueError):
         LandmarkMap(ids=np.array([1, 1]), positions=np.zeros((2, 3)),
