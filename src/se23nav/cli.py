@@ -31,9 +31,9 @@ from .observer import (MATRIX, QUATERNION, ModeError, NonFiniteState,
                        ObserverState, inject_w_omega_sign_fault, predict)
 from .quaternion import NonUnitQuaternion, quat_from_rotvec, quat_to_rot
 from .simulator import (ATT_CONVERGED, _engine_kwargs, apply_init_error,
-                        build_streams, default_scenario, generate_truth,
-                        hover_scenario, run_closed_loop, run_scenario,
-                        summarize)
+                        build_streams, default_landmark_map, default_scenario,
+                        generate_truth, hover_scenario, run_closed_loop,
+                        run_scenario, summarize)
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -119,7 +119,6 @@ def _load_config_for(args) -> dataio.RunConfig:
 
 
 def _load_map(cfg: dataio.RunConfig, config_path: str | None):
-    from .simulator import default_landmark_map
     if not cfg.map_file:
         return default_landmark_map()
     base = Path(config_path).parent if config_path else Path.cwd()
@@ -158,6 +157,43 @@ def _fail(error: Exception, table) -> int:
     raise error
 
 
+def _run_modes(cfg: dataio.RunConfig, scenario, truth, imu, observations,
+               init_nav, out: Path, replayed: bool) -> int:
+    """Run the engine once per configured gravity mode, write each run's
+    series into ``out`` and print its summary; returns the exit code.
+
+    A run without truth writes estimates.  A replay writes the
+    ``*_replay.csv`` series and compares each scored one byte for byte with
+    the recorded series.
+    """
+    status = EXIT_OK
+    for mode in cfg.modes():
+        result = run_closed_loop(
+            truth, imu, observations, scenario.lmap, scenario.gains, init_nav,
+            **_engine_kwargs(scenario, mode, cfg.representation))
+        if truth:
+            name = _series_name(cfg, mode, replayed=replayed)
+            dataio.write_metrics_csv(out / name, result.rows)
+            _print_mode_summary(mode, result)
+        else:
+            name = _series_name(cfg, mode, stem="estimates", replayed=replayed)
+            dataio.write_estimates_csv(out / name, result.rows)
+            _print_estimate_summary(mode, result)
+        print(f"  wrote {out / name}")
+        if not (replayed and truth):
+            continue
+        recorded = out / _series_name(cfg, mode)
+        if not recorded.exists():
+            print(f"  {recorded.name}: not present, nothing to compare")
+        elif recorded.read_bytes() == (out / name).read_bytes():
+            print(f"  {recorded.name}: bit-exact match")
+        else:
+            print(f"error: {recorded.name} does not match the replay",
+                  file=sys.stderr)
+            status = EXIT_RUNTIME
+    return status
+
+
 def run_simulate(args) -> int:
     try:
         cfg = _load_config_for(args)
@@ -183,16 +219,10 @@ def run_simulate(args) -> int:
         dataio.write_map_csv(out / "map.csv", lmap)
         dataio.write_config(out / "config.txt", cfg)
 
-        for mode in cfg.modes():
-            result = run_closed_loop(
-                truth, imu, observations, lmap, scenario.gains, init_nav,
-                **_engine_kwargs(scenario, mode, cfg.representation))
-            name = _series_name(cfg, mode)
-            dataio.write_metrics_csv(out / name, result.rows)
-            _print_mode_summary(mode, result)
-            print(f"  wrote {out / name}")
+        status = _run_modes(cfg, scenario, truth, imu, observations, init_nav,
+                            out, replayed=False)
         print(f"run recorded in {out}")
-        return EXIT_OK
+        return status
     except Exception as e:
         return _fail(e, _RUN_FAILURES)
 
@@ -226,32 +256,8 @@ def run_replay(args) -> int:
                                    np.array([0], dtype=np.int64))[0]
             print("no ground truth recorded; producing estimate-only output")
         init_nav = apply_init_error(start.nav(), scenario.init_error)
-        status = EXIT_OK
-        for mode in cfg.modes():
-            result = run_closed_loop(
-                truth, imu, observations, lmap, scenario.gains, init_nav,
-                **_engine_kwargs(scenario, mode, cfg.representation))
-            if not truth:
-                name = _series_name(cfg, mode, stem="estimates", replayed=True)
-                dataio.write_estimates_csv(out / name, result.rows)
-                _print_estimate_summary(mode, result)
-                print(f"  wrote {out / name}")
-                continue
-            replay_name = _series_name(cfg, mode, replayed=True)
-            dataio.write_metrics_csv(out / replay_name, result.rows)
-            _print_mode_summary(mode, result)
-            print(f"  wrote {out / replay_name}")
-            recorded = out / _series_name(cfg, mode)
-            if recorded.exists():
-                if recorded.read_bytes() == (out / replay_name).read_bytes():
-                    print(f"  {recorded.name}: bit-exact match")
-                else:
-                    print(f"error: {recorded.name} does not match the replay",
-                          file=sys.stderr)
-                    status = EXIT_RUNTIME
-            else:
-                print(f"  {recorded.name}: not present, nothing to compare")
-        return status
+        return _run_modes(cfg, scenario, truth, imu, observations, init_nav,
+                          out, replayed=True)
     except Exception as e:
         return _fail(e, _RUN_FAILURES)
 
@@ -363,13 +369,8 @@ def _selftest_checks(quick: bool, inject: bool):
     yield ("closed-loop convergence", converged,
            f"final att {last.att:.3e}, pos {last.pos:.3e}, vel {last.vel:.3e}")
 
-    truth, imu, observations = build_streams(scn)
-    init_nav = apply_init_error(truth[0].nav(), scn.init_error)
-    kw = _engine_kwargs(scn, scn.gravity_mode)
-    r1 = run_closed_loop(truth, imu, observations, scn.lmap, scn.gains,
-                         init_nav, **kw)
-    r2 = run_closed_loop(truth, imu, observations, scn.lmap, scn.gains,
-                         init_nav, **kw)
+    r1 = run_scenario(scn)[3]
+    r2 = run_scenario(scn)[3]
     same = all(a.att == b.att and a.pos == b.pos and a.vel == b.vel
                and a.grav == b.grav for a, b in zip(r1.rows, r2.rows))
     yield ("deterministic re-run", same and len(r1.rows) == len(r2.rows),

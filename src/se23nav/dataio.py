@@ -35,9 +35,9 @@ import numpy as np
 from .measurement import InsufficientLandmarks, LandmarkMap, LandmarkObservation
 from .observer import (ADAPTIVE_GRAVITY, KNOWN_GRAVITY, MATRIX,
                        REPRESENTATIONS, Gains)
-from .simulator import (DEFAULT_MAX_CORRECTION_DT, ImuSample, InitError,
-                        MetricsRow, NoiseSpec, Scenario, TrajectorySpec,
-                        TruthSample, merge_events)
+from .simulator import (ImuSample, InitError, MetricsRow, NoiseSpec, Scenario,
+                        TrajectorySpec, TruthSample, default_scenario,
+                        merge_events)
 
 IMU_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
 TRUTH_HEADER = "t_ns,qw,qx,qy,qz,px,py,pz,vx,vy,vz"
@@ -239,8 +239,7 @@ def load_obs_csv(path) -> list[tuple[int, LandmarkObservation]]:
         pts.append([_parse_float(path, lineno, s) for s in f[2:5]])
     if not epochs:
         raise EmptyStream(f"{path}: no observation records")
-    return [(t, LandmarkObservation(t=t / 1e9, ids=np.array(ids),
-                                    points=np.array(pts)))
+    return [(t, LandmarkObservation(ids=np.array(ids), points=np.array(pts)))
             for t, ids, pts in epochs]
 
 
@@ -302,53 +301,51 @@ def load_landmarks(map_path, obs_path):
 # ---------------------------------------------------------------------------
 # run configuration
 
-_DEFAULT_TRAJ = TrajectorySpec()
-_DEFAULT_INIT = InitError(angle=2.9670597283903604, axis=(1.0, 1.0, 1.0),
-                          pos=(3.0, -2.0, 1.0))
-_DEFAULT_GAINS = Gains()
-
 GRAVITY_MODES = (KNOWN_GRAVITY, ADAPTIVE_GRAVITY, BOTH_GRAVITY)
+
+_REF = default_scenario()
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run description; defaults reproduce the reference experiment."""
+    """Flat run description; the defaults are the values of the reference
+    experiment, :func:`~se23nav.simulator.default_scenario`."""
 
-    duration: float = 40.0
-    imu_rate: float = 200.0
-    obs_rate: float = 20.0
-    gravity_mode: str = KNOWN_GRAVITY
+    duration: float = _REF.duration
+    imu_rate: float = _REF.imu_rate
+    obs_rate: float = _REF.obs_rate
+    gravity_mode: str = _REF.gravity_mode
     representation: str = MATRIX
-    seed: int = 0
-    max_correction_dt: float = DEFAULT_MAX_CORRECTION_DT
-    noise_std_omega: float = 0.0
-    noise_std_accel: float = 0.0
-    noise_std_obs: float = 0.0
-    k_w: float = _DEFAULT_GAINS.k_w
-    k_v: float = _DEFAULT_GAINS.k_v
-    k_a: float = _DEFAULT_GAINS.k_a
-    gamma_sigma: float = _DEFAULT_GAINS.gamma_sigma
-    k_sigma: float = _DEFAULT_GAINS.k_sigma
-    gamma_g: float = _DEFAULT_GAINS.gamma_g
-    mu: float = _DEFAULT_GAINS.mu
-    g_ref: tuple = (0.0, 0.0, -9.81)
-    init_angle: float = _DEFAULT_INIT.angle
-    init_axis: tuple = _DEFAULT_INIT.axis
-    init_pos: tuple = _DEFAULT_INIT.pos
-    init_vel: tuple = _DEFAULT_INIT.vel
-    trajectory: str = _DEFAULT_TRAJ.kind
-    center: tuple = _DEFAULT_TRAJ.center
-    amplitude: tuple = _DEFAULT_TRAJ.amplitude
-    freq: tuple = _DEFAULT_TRAJ.freq
-    phase: tuple = _DEFAULT_TRAJ.phase
-    radius: float = _DEFAULT_TRAJ.radius
-    yaw_amp: float = _DEFAULT_TRAJ.yaw_amp
-    yaw_freq: float = _DEFAULT_TRAJ.yaw_freq
-    pitch_amp: float = _DEFAULT_TRAJ.pitch_amp
-    pitch_freq: float = _DEFAULT_TRAJ.pitch_freq
-    pitch_phase: float = _DEFAULT_TRAJ.pitch_phase
-    waypoint_times: tuple = ()
-    waypoint_points: tuple = ()
+    seed: int = _REF.noise.seed
+    max_correction_dt: float = _REF.max_correction_dt
+    noise_std_omega: float = _REF.noise.std_omega
+    noise_std_accel: float = _REF.noise.std_accel
+    noise_std_obs: float = _REF.noise.std_obs
+    k_w: float = _REF.gains.k_w
+    k_v: float = _REF.gains.k_v
+    k_a: float = _REF.gains.k_a
+    gamma_sigma: float = _REF.gains.gamma_sigma
+    k_sigma: float = _REF.gains.k_sigma
+    gamma_g: float = _REF.gains.gamma_g
+    mu: float = _REF.gains.mu
+    g_ref: tuple = _REF.g_ref
+    init_angle: float = _REF.init_error.angle
+    init_axis: tuple = _REF.init_error.axis
+    init_pos: tuple = _REF.init_error.pos
+    init_vel: tuple = _REF.init_error.vel
+    trajectory: str = _REF.trajectory.kind
+    center: tuple = _REF.trajectory.center
+    amplitude: tuple = _REF.trajectory.amplitude
+    freq: tuple = _REF.trajectory.freq
+    phase: tuple = _REF.trajectory.phase
+    radius: float = _REF.trajectory.radius
+    yaw_amp: float = _REF.trajectory.yaw_amp
+    yaw_freq: float = _REF.trajectory.yaw_freq
+    pitch_amp: float = _REF.trajectory.pitch_amp
+    pitch_freq: float = _REF.trajectory.pitch_freq
+    pitch_phase: float = _REF.trajectory.pitch_phase
+    waypoint_times: tuple = _REF.trajectory.waypoint_times
+    waypoint_points: tuple = _REF.trajectory.waypoint_points
     map_file: str = ""
 
     def modes(self) -> tuple:

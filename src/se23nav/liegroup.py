@@ -72,12 +72,6 @@ def vex(s: np.ndarray) -> np.ndarray:
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
 
-def antisym(a: np.ndarray) -> np.ndarray:
-    """Anti-symmetric projection ``(a - a.T) / 2``."""
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (a - a.T)
-
-
 def vex_antisym(a: np.ndarray) -> np.ndarray:
     """``vex`` of the anti-symmetric projection of an arbitrary 3x3 matrix."""
     (_, a01, a02), (a10, _, a12), (a20, a21, _) = np.asarray(a, dtype=float).tolist()
@@ -93,15 +87,6 @@ def so3_distance(r: np.ndarray) -> float:
     d = (3.0 - float(np.trace(r))) / 4.0
     # rounding can push the trace a hair past its algebraic range
     return min(1.0, max(0.0, d))
-
-
-def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        return False
-    if np.linalg.norm(r.T @ r - _I3) > tol:
-        return False
-    return bool(np.linalg.det(r) > 0.0)
 
 
 def orthonormalize_rows(r: np.ndarray) -> np.ndarray:
@@ -177,9 +162,9 @@ def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             _skew_quadratic(0.5, c2, c3, wl, s2))
 
 
-def rodrigues_exp(omega: np.ndarray, dt: float = 1.0) -> np.ndarray:
-    """Rotation matrix ``exp(skew(omega) * dt)`` by the Rodrigues formula."""
-    w = np.asarray(omega, dtype=float) * dt
+def rodrigues_exp(omega: np.ndarray) -> np.ndarray:
+    """Rotation matrix ``exp(skew(omega))`` by the Rodrigues formula."""
+    w = np.asarray(omega, dtype=float)
     theta = float(np.linalg.norm(w))
     c0, c1 = _rot_coeffs(theta)
     s = skew(w)
@@ -256,21 +241,6 @@ class NavState:
         m[:3, 4] = self.v
         return m
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, tol: float = 1e-9) -> "NavState":
-        """Strict conversion: the bottom rows must match the group pattern."""
-        m = np.asarray(m, dtype=float)
-        expect = np.array([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
-        if np.abs(m[3:5] - expect).max() > tol:
-            raise ValueError("bottom rows do not match the extended-pose pattern")
-        return cls.from_blocks(m)
-
-    @classmethod
-    def from_blocks(cls, m: np.ndarray) -> "NavState":
-        """Read the (r, p, v) blocks, ignoring bookkeeping rows."""
-        m = np.asarray(m, dtype=float)
-        return cls(m[:3, :3].copy(), m[:3, 3].copy(), m[:3, 4].copy())
-
     def compose(self, other: "NavState") -> "NavState":
         return NavState(self.r @ other.r,
                         self.r @ other.p + self.p,
@@ -279,12 +249,6 @@ class NavState:
     def inverse(self) -> "NavState":
         rt = self.r.T
         return NavState(rt, -(rt @ self.p), -(rt @ self.v))
-
-    def validate(self, tol: float = 1e-9) -> None:
-        if not is_rotation(self.r, tol):
-            raise ValueError("rotation block is not orthonormal within tolerance")
-        if self.p.shape != (3,) or self.v.shape != (3,):
-            raise ValueError("position and velocity must be 3-vectors")
 
 
 def nav_error(x: NavState, xhat: NavState) -> NavState:

@@ -8,7 +8,7 @@ only the weighted aggregates computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,10 +89,9 @@ class LandmarkObservation:
     """Body-frame landmark readings for one epoch.
 
     ``points`` holds one 3-vector per observed id, expressed in the body
-    frame of the true vehicle pose at time ``t``.
+    frame of the true vehicle pose at the epoch's instant.
     """
 
-    t: float
     ids: np.ndarray
     points: np.ndarray
 
@@ -124,33 +123,27 @@ class MeasurementSummary:
     att_dist: float
 
 
-def synthesize_observation(nav, lmap: LandmarkMap, t: float = 0.0,
-                           noise_std: float = 0.0, rng=None,
-                           ids: np.ndarray | None = None) -> LandmarkObservation:
-    """Generate body-frame readings ``r.T @ (p_i - p)`` from a true pose.
+def synthesize_observation(nav, lmap: LandmarkMap, noise_std: float = 0.0,
+                           rng=None) -> LandmarkObservation:
+    """Generate body-frame readings ``r.T @ (p_i - p)`` of every surveyed
+    landmark from a true pose.
 
     Parameters
     ----------
     nav : NavState
         True vehicle state.
     lmap : LandmarkMap
-        Survey to observe.  ``ids`` restricts the epoch to a subset.
+        Survey to observe.
     noise_std : float
         Per-axis standard deviation of additive Gaussian noise; ``rng`` must
         be supplied when nonzero.
     """
-    if ids is None:
-        ids = lmap.ids
-        pos = lmap.positions
-    else:
-        idx = lmap.index_of(np.asarray(ids, dtype=int))
-        pos = lmap.positions[idx]
-    pts = (pos - nav.p) @ nav.r
+    pts = (lmap.positions - nav.p) @ nav.r
     if noise_std > 0.0:
         if rng is None:
             raise ValueError("rng is required for noisy observations")
         pts = pts + rng.normal(0.0, noise_std, size=pts.shape)
-    return LandmarkObservation(t=t, ids=np.asarray(ids, dtype=int), points=pts)
+    return LandmarkObservation(ids=lmap.ids, points=pts)
 
 
 def aggregate(lmap: LandmarkMap, obs: LandmarkObservation,
@@ -238,13 +231,13 @@ def sym3_eigvals(m: np.ndarray) -> np.ndarray:
     return out.reshape(m.shape[:-2] + (3,))
 
 
-def check_configuration(lmap: LandmarkMap, tol: float = TOL_EIG) -> ConfigReport:
+def check_configuration(lmap: LandmarkMap) -> ConfigReport:
     """Decide whether a survey supports full attitude recovery.
 
     The survey must contain at least three landmarks whose weighted scatter
     matrix has at most one negligible eigenvalue: the smallest eigenvalue of
     the trace-complement (the sum of the two smallest scatter eigenvalues)
-    must exceed ``tol`` times the largest scatter eigenvalue.
+    must exceed :data:`TOL_EIG` times the largest scatter eigenvalue.
     """
     n = len(lmap)
     s = lmap.weights
@@ -259,7 +252,7 @@ def check_configuration(lmap: LandmarkMap, tol: float = TOL_EIG) -> ConfigReport
     if n < 3:
         return ConfigReport(n, lam, min_pair, max_pair, False,
                             f"only {n} landmark(s); at least 3 are required")
-    floor = tol * max(float(lam[2]), np.finfo(float).tiny)
+    floor = TOL_EIG * max(float(lam[2]), np.finfo(float).tiny)
     if min_pair <= floor:
         return ConfigReport(n, lam, min_pair, max_pair, False,
                             "landmarks are collinear within tolerance")

@@ -96,12 +96,15 @@ class Gains:
 @dataclass(frozen=True)
 class Correction:
     """Correction terms of one update: angular, position-channel and
-    acceleration-channel terms plus the adaptation gain ``k_adapt``."""
+    acceleration-channel terms, the adaptation gain ``k_adapt`` and
+    ``body_axis``, the attitude innovation axis resolved in the body frame of
+    the predicted attitude, which drives the noise-bound adaptation."""
 
     w_omega: np.ndarray
     w_vel: np.ndarray
     w_acc: np.ndarray
     k_adapt: float
+    body_axis: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,6 @@ class Metrics:
     vel: float
     grav: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.att, self.pos, self.vel, self.grav])
-
 
 def compute_corrections(summary: MeasurementSummary, state: ObserverState,
                         gains: Gains) -> Correction:
@@ -197,13 +197,13 @@ def compute_corrections(summary: MeasurementSummary, state: ObserverState,
     w_acc = [-g - gains.k_a * e for g, e in zip(state.g_hat.tolist(), inn)]
     k_adapt = gains.gamma_sigma * (d + 2.0) / 8.0 * float(np.exp(d))
     return Correction(w_omega=np.array(w_omega), w_vel=np.array(w_vel),
-                      w_acc=np.array(w_acc), k_adapt=k_adapt)
+                      w_acc=np.array(w_acc), k_adapt=k_adapt, body_axis=r_ups)
 
 
-def sigma_step(state: ObserverState, summary: MeasurementSummary,
-               corr: Correction, gains: Gains, dt: float) -> np.ndarray:
+def sigma_step(state: ObserverState, corr: Correction, gains: Gains,
+               dt: float) -> np.ndarray:
     """One explicit-Euler update of the noise-covariance bound estimate."""
-    r_ups = (state.nav.r.T @ vex_antisym(summary.scatter_err)).tolist()
+    r_ups = corr.body_axis.tolist()
     k = corr.k_adapt
     decay = dt * gains.k_sigma * gains.gamma_sigma
     return np.array([s + dt * (k * (u * u)) - decay * s
@@ -260,7 +260,7 @@ def _innovate(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
     g_hat = state.g_hat
     if state.gravity_mode == ADAPTIVE_GRAVITY:
         g_hat = gravity_step(state, corr, summary, gains, dt)
-    return corr, sigma_step(state, summary, corr, gains, dt), g_hat
+    return corr, sigma_step(state, corr, gains, dt), g_hat
 
 
 def _flow(r: np.ndarray, p: np.ndarray, v: np.ndarray, a: np.ndarray,
@@ -388,18 +388,14 @@ def error_metrics(x: NavState, state: ObserverState,
                    grav=_norm(g_true - err.r @ state.g_hat))
 
 
-def on_unstable_set(r_err: np.ndarray, tol: float = UNSTABLE_TRACE_TOL) -> bool:
-    """True when an attitude error is a half turn within ``tol`` on the trace."""
-    return abs(float(np.trace(r_err)) + 1.0) <= tol
-
-
 def warn_if_unstable(r_err: np.ndarray) -> bool:
-    """Warn (and return True) when initialized on the half-turn set.
+    """Warn (and return True) when initialized on the half-turn set, that is
+    when the attitude error's trace is -1 within :data:`UNSTABLE_TRACE_TOL`.
 
     Convergence from that measure-zero set is not guaranteed; any
     perturbation, including sensor noise, knocks the error off it.
     """
-    if on_unstable_set(r_err):
+    if abs(float(np.trace(r_err)) + 1.0) <= UNSTABLE_TRACE_TOL:
         warnings.warn("initial attitude error is a half turn; convergence "
                       "from this set is not guaranteed", UnstableSetWarning,
                       stacklevel=2)

@@ -23,21 +23,12 @@ class NonUnitQuaternion(ValueError):
     """Raised when an operation requires a unit quaternion and the norm is off."""
 
 
-def quat_identity() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
-
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     n = _norm(q)
     if n == 0.0:
         raise NonUnitQuaternion("cannot normalize the zero quaternion")
     return q / n
-
-
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def quat_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

@@ -17,17 +17,17 @@ recorded run bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .liegroup import NavState, rodrigues_exp, skew
+from .liegroup import NavState, rodrigues_exp
 from .measurement import LandmarkMap, LandmarkObservation, synthesize_observation
-from .observer import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
-                       Gains, Metrics, ObserverState, correct, error_metrics,
-                       predict, warn_if_unstable)
+from .observer import (GRAVITY_ENU, KNOWN_GRAVITY, MATRIX, Gains, Metrics,
+                       ObserverState, correct, error_metrics, predict,
+                       warn_if_unstable)
 from .quaternion import quat_to_rot, rot_to_quat
 
 NS_PER_S = 1_000_000_000
@@ -240,22 +240,16 @@ class ImuSample:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Seeded Gaussian sensor noise.
-
-    ``profile``, when given, maps an array of sample times to per-sample
-    (rate, specific-force) standard deviations and overrides the constant
-    values.  A spec whose standard deviations are all zero draws nothing.
-    """
+    """Seeded Gaussian sensor noise.  A spec whose standard deviations are
+    all zero draws nothing."""
 
     std_omega: float = 0.0
     std_accel: float = 0.0
     std_obs: float = 0.0
     seed: int = 0
-    profile: Callable[[np.ndarray], tuple] | None = None
 
     def silent(self) -> bool:
-        return (self.profile is None and self.std_omega == 0.0
-                and self.std_accel == 0.0 and self.std_obs == 0.0)
+        return self.std_omega == 0.0 and self.std_accel == 0.0 and self.std_obs == 0.0
 
 
 @dataclass(frozen=True)
@@ -307,15 +301,8 @@ def synthesize_imu(spec: TrajectorySpec, t_ns: np.ndarray,
     if noise is not None and not noise.silent():
         if rng is None:
             raise ValueError("a generator is required for noisy inertial samples")
-        if noise.profile is not None:
-            std_w, std_a = noise.profile(t)
-            std_w = np.broadcast_to(np.asarray(std_w, dtype=float), (n,))
-            std_a = np.broadcast_to(np.asarray(std_a, dtype=float), (n,))
-        else:
-            std_w = np.full(n, noise.std_omega)
-            std_a = np.full(n, noise.std_accel)
-        omegas = omegas + rng.normal(size=(n, 3)) * std_w[:, None]
-        sf = sf + rng.normal(size=(n, 3)) * std_a[:, None]
+        omegas = omegas + rng.normal(size=(n, 3)) * noise.std_omega
+        sf = sf + rng.normal(size=(n, 3)) * noise.std_accel
     return [ImuSample(int(t_ns[i]), omegas[i], sf[i]) for i in range(n)]
 
 
@@ -385,8 +372,6 @@ def run_closed_loop(truth: Sequence[TruthSample],
                     *,
                     gravity_mode: str = KNOWN_GRAVITY,
                     g_ref: np.ndarray = GRAVITY_ENU,
-                    g0: np.ndarray | None = None,
-                    sigma0: np.ndarray | None = None,
                     representation: str = MATRIX,
                     obs_nominal_dt: float = 0.05,
                     max_correction_dt: float = DEFAULT_MAX_CORRECTION_DT) -> RunResult:
@@ -401,8 +386,7 @@ def run_closed_loop(truth: Sequence[TruthSample],
     event at that instant has been processed.
     """
     state = ObserverState.create(init_estimate, gravity_mode=gravity_mode,
-                                 g_ref=g_ref, g0=g0, sigma0=sigma0,
-                                 representation=representation)
+                                 g_ref=g_ref, representation=representation)
     events = merge_events(truth, imu, observations)
     if not events:
         raise ValueError("no events to process")
@@ -471,8 +455,6 @@ class Scenario:
     g_ref: tuple = (0.0, 0.0, -9.81)
     noise: NoiseSpec = NoiseSpec()
     max_correction_dt: float = DEFAULT_MAX_CORRECTION_DT
-    g0: tuple | None = None
-    sigma0: tuple | None = None
 
 
 def time_grid(duration: float, rate: float) -> np.ndarray:
@@ -499,7 +481,7 @@ def build_streams(scn: Scenario):
     observations = []
     for i in range(0, t_ns.size, every):
         s = truth[i]
-        obs = synthesize_observation(s.nav(), scn.lmap, t=s.t_ns / NS_PER_S,
+        obs = synthesize_observation(s.nav(), scn.lmap,
                                      noise_std=scn.noise.std_obs, rng=rng_obs)
         observations.append((int(s.t_ns), obs))
     return truth, imu, observations
@@ -511,8 +493,6 @@ def _engine_kwargs(scn: Scenario, gravity_mode: str,
     return dict(
         gravity_mode=gravity_mode,
         g_ref=np.asarray(scn.g_ref, dtype=float),
-        g0=None if scn.g0 is None else np.asarray(scn.g0, dtype=float),
-        sigma0=None if scn.sigma0 is None else np.asarray(scn.sigma0, dtype=float),
         representation=representation,
         obs_nominal_dt=1.0 / scn.obs_rate,
         max_correction_dt=scn.max_correction_dt)
@@ -579,24 +559,18 @@ _DEFAULT_LANDMARKS = (
 )
 
 
-def default_landmark_map(normalized: bool = True) -> LandmarkMap:
+def default_landmark_map() -> LandmarkMap:
     """Reference landmark map.
 
-    With ``normalized`` the common weight is chosen so the weighted scatter
-    matrix has unit mean eigenvalue, which keeps the adaptation gain (it
-    scales exponentially with the attitude-distance statistic) in a sane
-    range for large initial errors.
+    The common weight is chosen so the weighted scatter matrix has unit mean
+    eigenvalue, which keeps the adaptation gain (it scales exponentially
+    with the attitude-distance statistic) in a sane range for large initial
+    errors.
     """
     pts = np.asarray(_DEFAULT_LANDMARKS, dtype=float)
-    ids = np.arange(len(pts))
-    if normalized:
-        pc = pts.mean(axis=0)
-        d = pts - pc
-        tr = float(np.sum(d * d))
-        w = np.full(len(pts), 3.0 / tr)
-    else:
-        w = np.ones(len(pts))
-    return LandmarkMap(ids=ids, positions=pts, weights=w)
+    d = pts - pts.mean(axis=0)
+    w = np.full(len(pts), 3.0 / float(np.sum(d * d)))
+    return LandmarkMap(ids=np.arange(len(pts)), positions=pts, weights=w)
 
 
 def default_scenario(gravity_mode: str = KNOWN_GRAVITY,

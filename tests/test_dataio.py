@@ -22,7 +22,7 @@ from se23nav.dataio import (BOTH_GRAVITY, ESTIMATES_HEADER, METRICS_HEADER,
                             write_estimates_csv, write_imu_csv, write_map_csv,
                             write_metrics_csv, write_obs_csv, write_truth_csv)
 from se23nav.simulator import (ImuSample, MetricsRow, TruthSample,
-                               default_landmark_map)
+                               default_landmark_map, default_scenario)
 
 AWKWARD = [math.pi, 1.0 / 3.0, -2.5e-7, 9.81, -1.0, 0.0]
 
@@ -94,7 +94,7 @@ def test_obs_roundtrip_groups_equal_times(tmp_path):
     for k in range(4):
         t_ns = 50_000_000 * k
         epochs.append((t_ns, LandmarkObservation(
-            t=t_ns / 1e9, ids=np.arange(3 + k % 2),
+            ids=np.arange(3 + k % 2),
             points=np.arange((3 + k % 2) * 3, dtype=float).reshape(-1, 3) * 0.1
             + k)))
     write_obs_csv(a, epochs)
@@ -221,7 +221,7 @@ def test_align_event_ordering():
     imu = _imu_stream()[:3]
     truth = [TruthSample(s.t_ns, np.array([1.0, 0, 0, 0]), np.zeros(3),
                          np.zeros(3)) for s in imu]
-    obs = [(0, LandmarkObservation(0.0, np.arange(3), np.zeros((3, 3))))]
+    obs = [(0, LandmarkObservation(np.arange(3), np.zeros((3, 3))))]
     events = align(imu, obs, truth)
     at_zero = [kind for t, kind, _ in events if t == 0]
     assert at_zero == [0, 1, 2]
@@ -380,6 +380,13 @@ def test_config_to_scenario_and_override():
     assert scn.noise.std_omega == 0.12
     assert scn.gravity_mode == "known"
     assert_allclose(scn.init_error.pos, (3.0, -2.0, 1.0), atol=0)
+    # the default configuration is the reference experiment
+    got = config_to_scenario(RunConfig(), lmap)
+    ref = default_scenario()
+    for name in ("trajectory", "gains", "init_error", "duration", "imu_rate",
+                 "obs_rate", "gravity_mode", "g_ref", "noise",
+                 "max_correction_dt"):
+        assert getattr(got, name) == getattr(ref, name), name
 
     both = dataclasses.replace(cfg, gravity_mode=BOTH_GRAVITY)
     with pytest.raises(ValidationError):

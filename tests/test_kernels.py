@@ -211,9 +211,10 @@ def test_correction_terms(q, scatter_err, centroid, inn, sigma, g_hat, d, dt):
     assert same_bits(corr.w_omega, w_omega)
     assert same_bits(corr.w_vel, np.cross(centroid, w_omega) - gains.k_v * inn)
     assert same_bits(corr.w_acc, -g_hat - gains.k_a * inn)
+    assert same_bits(corr.body_axis, r_ups)
 
     drive = corr.k_adapt * (r_ups * r_ups)
-    assert same_bits(sigma_step(state, summary, corr, gains, dt),
+    assert same_bits(sigma_step(state, corr, gains, dt),
                      sigma + dt * drive - dt * gains.k_sigma * gains.gamma_sigma * sigma)
     rate = -np.cross(w_omega, g_hat) + gains.mu * gains.gamma_g * inn
     assert same_bits(gravity_step(state, corr, summary, gains, dt), g_hat + dt * rate)

@@ -13,7 +13,7 @@ from se23nav import (MATRIX, QUATERNION, NavState, NavTangent,
                      NotSkewSymmetric, ObserverState, nav_error, predict,
                      rodrigues_exp, se23_exp, skew, so3_distance, so3_gammas,
                      vex, vex_antisym)
-from se23nav.liegroup import antisym, is_rotation, orthonormalize_rows
+from se23nav.liegroup import orthonormalize_rows
 
 
 def test_skew_vex_roundtrip_is_exact():
@@ -48,7 +48,7 @@ def test_vex_rejects_non_skew_input():
 def test_antisym_projection_and_axis():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 3))
-    assert_allclose(antisym(a), 0.5 * (a - a.T), atol=0)
+    assert_array_equal(vex_antisym(a), vex(0.5 * (a - a.T)))
     sym = a + a.T
     assert_array_equal(vex_antisym(sym), np.zeros(3))
     # hand-evaluated single-entry case
@@ -91,7 +91,9 @@ def test_orthonormalize_rows_repairs_drift():
         assert np.linalg.norm(fixed @ fixed.T - np.eye(3)) < 1e-12
         assert np.linalg.det(fixed) > 0.0
         assert np.max(np.abs(fixed - r)) < 1e-5
-    assert is_rotation(orthonormalize_rows(np.eye(3) + 1e-7))
+    fixed = orthonormalize_rows(np.eye(3) + 1e-7)
+    assert np.linalg.norm(fixed.T @ fixed - np.eye(3)) <= 1e-9
+    assert np.linalg.det(fixed) > 0.0
 
 
 def test_so3_gammas_match_quadrature():
@@ -182,29 +184,6 @@ def test_navstate_compose_inverse_roundtrip():
         assert_allclose(ident.r, np.eye(3), atol=1e-13)
         assert_allclose(ident.p, np.zeros(3), atol=1e-13)
         assert_allclose(ident.v, np.zeros(3), atol=1e-13)
-
-
-def test_navstate_matrix_roundtrip_and_strictness():
-    rng = np.random.default_rng(13)
-    x = NavState(random_rotation(rng), rng.normal(size=3), rng.normal(size=3))
-    back = NavState.from_matrix(x.as_matrix())
-    assert_array_equal(back.r, x.r)
-    assert_array_equal(back.p, x.p)
-    assert_array_equal(back.v, x.v)
-    bad = x.as_matrix()
-    bad[4, 3] = 1e-6
-    with pytest.raises(ValueError):
-        NavState.from_matrix(bad)
-    # lenient block reader ignores the bookkeeping rows
-    lenient = NavState.from_blocks(bad)
-    assert_array_equal(lenient.p, x.p)
-
-
-def test_navstate_validate_rejects_bad_rotation():
-    x = NavState(np.eye(3) * 1.1, np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        x.validate()
-    NavState.identity().validate()
 
 
 def test_nav_error_blocks():
