@@ -308,44 +308,20 @@ _REF = default_scenario()
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run description; the defaults are the values of the reference
-    experiment, :func:`~se23nav.simulator.default_scenario`."""
+    """Run-level values and the scenario's own specs; the defaults are the
+    reference experiment, :func:`~se23nav.simulator.default_scenario`."""
 
     duration: float = _REF.duration
     imu_rate: float = _REF.imu_rate
     obs_rate: float = _REF.obs_rate
     gravity_mode: str = _REF.gravity_mode
     representation: str = MATRIX
-    seed: int = _REF.noise.seed
     max_correction_dt: float = _REF.max_correction_dt
-    noise_std_omega: float = _REF.noise.std_omega
-    noise_std_accel: float = _REF.noise.std_accel
-    noise_std_obs: float = _REF.noise.std_obs
-    k_w: float = _REF.gains.k_w
-    k_v: float = _REF.gains.k_v
-    k_a: float = _REF.gains.k_a
-    gamma_sigma: float = _REF.gains.gamma_sigma
-    k_sigma: float = _REF.gains.k_sigma
-    gamma_g: float = _REF.gains.gamma_g
-    mu: float = _REF.gains.mu
+    noise: NoiseSpec = _REF.noise
+    gains: Gains = _REF.gains
     g_ref: tuple = _REF.g_ref
-    init_angle: float = _REF.init_error.angle
-    init_axis: tuple = _REF.init_error.axis
-    init_pos: tuple = _REF.init_error.pos
-    init_vel: tuple = _REF.init_error.vel
-    trajectory: str = _REF.trajectory.kind
-    center: tuple = _REF.trajectory.center
-    amplitude: tuple = _REF.trajectory.amplitude
-    freq: tuple = _REF.trajectory.freq
-    phase: tuple = _REF.trajectory.phase
-    radius: float = _REF.trajectory.radius
-    yaw_amp: float = _REF.trajectory.yaw_amp
-    yaw_freq: float = _REF.trajectory.yaw_freq
-    pitch_amp: float = _REF.trajectory.pitch_amp
-    pitch_freq: float = _REF.trajectory.pitch_freq
-    pitch_phase: float = _REF.trajectory.pitch_phase
-    waypoint_times: tuple = _REF.trajectory.waypoint_times
-    waypoint_points: tuple = _REF.trajectory.waypoint_points
+    init_error: InitError = _REF.init_error
+    trajectory: TrajectorySpec = _REF.trajectory
     map_file: str = ""
 
     def modes(self) -> tuple:
@@ -389,12 +365,31 @@ def _config_codec(f) -> tuple:
         return _TRIPLE_CODEC
     if type(default) in _SCALAR_CODECS:
         return _SCALAR_CODECS[type(default)]
-    raise TypeError(f"RunConfig.{f.name}: no file shape for a default of "
+    raise TypeError(f"field {f.name}: no file shape for a default of "
                     f"type {type(default).__name__}")
 
 
-# every configuration key, in the order written configs list them
-_CONFIG_CODECS = {f.name: _config_codec(f) for f in fields(RunConfig)}
+# The key of a spec field is its name behind the spec's prefix, or a rename.
+_SPEC_KEYS = {"noise": ("noise_", {"seed": "seed"}), "gains": ("", {}),
+              "init_error": ("init_", {}), "trajectory": ("", {"kind": "trajectory"})}
+
+
+def _key_table() -> dict:
+    """Every configuration key, in the order written configs list them, with
+    its RunConfig field, spec field (``None`` for a plain field) and codec."""
+    table = {}
+    for f in fields(RunConfig):
+        if f.name not in _SPEC_KEYS:
+            table[f.name] = (f.name, None, _config_codec(f))
+            continue
+        prefix, renames = _SPEC_KEYS[f.name]
+        for g in fields(f.default):
+            table[renames.get(g.name, prefix + g.name)] = (f.name, g.name,
+                                                          _config_codec(g))
+    return table
+
+
+_CONFIG_KEYS = _key_table()
 
 
 def parse_config(path) -> RunConfig:
@@ -414,25 +409,16 @@ def parse_config(path) -> RunConfig:
             raise ParseError(path, lineno, f"expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_CODECS:
+        if key not in _CONFIG_KEYS:
             raise ParseError(path, lineno, f"unknown configuration key {key!r}")
         if key in seen:
             raise ParseError(path, lineno, f"repeated configuration key {key!r}")
-        seen[key] = _CONFIG_CODECS[key][0](path, lineno, value.strip())
-    cfg = RunConfig(**seen)
-    validate_config(cfg)
-    return cfg
-
-
-def _trajectory_spec(cfg: RunConfig) -> TrajectorySpec:
-    """The configured trajectory: key ``trajectory`` is the kind, every other
-    trajectory field has the key of its own name."""
-    return TrajectorySpec(kind=cfg.trajectory, **{
-        f.name: getattr(cfg, f.name) for f in fields(TrajectorySpec)
-        if f.name != "kind"})
+        seen[key] = _CONFIG_KEYS[key][2][0](path, lineno, value.strip())
+    return config_override(RunConfig(), **seen)
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """Check the run-level rules; each spec checks its own fields."""
     def bad(msg):
         raise ValidationError(msg)
 
@@ -453,31 +439,20 @@ def validate_config(cfg: RunConfig) -> None:
         bad(f"representation must be one of {REPRESENTATIONS}, got {cfg.representation!r}")
     if cfg.max_correction_dt <= 0.0:
         bad("max_correction_dt must be positive")
-    for k in ("noise_std_omega", "noise_std_accel", "noise_std_obs"):
-        if getattr(cfg, k) < 0.0:
-            bad(f"{k} must be nonnegative")
-    for k in (f.name for f in fields(Gains)):
-        if getattr(cfg, k) <= 0.0:
-            bad(f"gain {k} must be strictly positive")
-    if np.linalg.norm(np.asarray(cfg.init_axis, dtype=float)) == 0.0:
-        bad("init_axis must be nonzero")
-    try:
-        _trajectory_spec(cfg)
-    except ValueError as e:
-        bad(str(e))
 
 
 def write_config(path, cfg: RunConfig) -> None:
     """Raises :class:`ValidationError` for a string value that would not read
     back unchanged: one holding ``#`` or a line break, or padded with
     whitespace."""
-    for key, value in vars(cfg).items():
+    lines = []
+    for key, (name, sub, (_, fmt)) in _CONFIG_KEYS.items():
+        value = getattr(cfg, name) if sub is None else getattr(getattr(cfg, name), sub)
         if isinstance(value, str) and ("#" in value or value != value.strip()
                                        or len(value.splitlines()) > 1):
             raise ValidationError(f"{key}={value!r} would not read back unchanged")
-    _write_csv(path, "# closed-loop run configuration",
-               (f"{key}={fmt(getattr(cfg, key))}"
-                for key, (_, fmt) in _CONFIG_CODECS.items()))
+        lines.append(f"{key}={fmt(value)}")
+    _write_csv(path, "# closed-loop run configuration", lines)
 
 
 def config_to_scenario(cfg: RunConfig, lmap: LandmarkMap,
@@ -490,21 +465,29 @@ def config_to_scenario(cfg: RunConfig, lmap: LandmarkMap,
     mode = gravity_mode if gravity_mode is not None else cfg.gravity_mode
     if mode == BOTH_GRAVITY:
         raise ValidationError("a single run needs a concrete gravity mode")
-    gains = Gains(**{f.name: getattr(cfg, f.name) for f in fields(Gains)})
-    init = InitError(angle=cfg.init_angle, axis=cfg.init_axis,
-                     pos=cfg.init_pos, vel=cfg.init_vel)
-    noise = NoiseSpec(std_omega=cfg.noise_std_omega,
-                      std_accel=cfg.noise_std_accel,
-                      std_obs=cfg.noise_std_obs, seed=cfg.seed)
-    return Scenario(trajectory=_trajectory_spec(cfg), lmap=lmap, gains=gains,
-                    init_error=init, duration=cfg.duration,
+    return Scenario(trajectory=cfg.trajectory, lmap=lmap, gains=cfg.gains,
+                    init_error=cfg.init_error, duration=cfg.duration,
                     imu_rate=cfg.imu_rate, obs_rate=cfg.obs_rate,
-                    gravity_mode=mode, g_ref=cfg.g_ref, noise=noise,
+                    gravity_mode=mode, g_ref=cfg.g_ref, noise=cfg.noise,
                     max_correction_dt=cfg.max_correction_dt)
 
 
-def config_override(cfg: RunConfig, **kwargs) -> RunConfig:
-    """Copy with fields replaced, then re-validated."""
-    out = replace(cfg, **kwargs)
+def config_override(cfg: RunConfig, **values) -> RunConfig:
+    """Copy with the given configuration keys (the file's names) set, then
+    re-validated.  A spec that rejects its values raises
+    :class:`ValidationError` naming the keys set on it."""
+    changes: dict = {}
+    for key, value in values.items():
+        name, sub, _ = _CONFIG_KEYS[key]
+        changes[name] = value if sub is None else {**changes.get(name, {}), sub: value}
+    for name in changes:
+        if name not in _SPEC_KEYS:
+            continue
+        try:
+            changes[name] = replace(getattr(cfg, name), **changes[name])
+        except ValueError as e:
+            keys = ", ".join(k for k in values if _CONFIG_KEYS[k][0] == name)
+            raise ValidationError(f"{keys}: {e}") from None
+    out = replace(cfg, **changes)
     validate_config(out)
     return out

@@ -33,8 +33,6 @@ SMALL_ANGLE = 1e-8
 # Threshold for the cancellation-prone third/fourth integral coefficients.
 _SERIES_ANGLE = 0.1
 
-_I3 = np.eye(3)
-
 
 class NotSkewSymmetric(ValueError):
     """Raised when ``vex`` is applied to a matrix that is not skew symmetric."""
@@ -164,11 +162,7 @@ def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def rodrigues_exp(omega: np.ndarray) -> np.ndarray:
     """Rotation matrix ``exp(skew(omega))`` by the Rodrigues formula."""
-    w = np.asarray(omega, dtype=float)
-    theta = float(np.linalg.norm(w))
-    c0, c1 = _rot_coeffs(theta)
-    s = skew(w)
-    return _I3 + c0 * s + c1 * (s @ s)
+    return so3_gammas(omega)[0]
 
 
 @dataclass(frozen=True)

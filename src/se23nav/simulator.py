@@ -240,13 +240,18 @@ class ImuSample:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Seeded Gaussian sensor noise.  A spec whose standard deviations are
-    all zero draws nothing."""
+    """Seeded Gaussian sensor noise; the levels and the seed are nonnegative.
+    A spec whose standard deviations are all zero draws nothing."""
 
     std_omega: float = 0.0
     std_accel: float = 0.0
     std_obs: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("std_omega", "std_accel", "std_obs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"noise {name} must be nonnegative")
 
     def silent(self) -> bool:
         return self.std_omega == 0.0 and self.std_accel == 0.0 and self.std_obs == 0.0
@@ -255,20 +260,21 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class InitError:
     """Initial estimation error: the estimate starts at the true state moved
-    by the inverse of this group element (angle about ``axis``, position and
-    velocity offsets)."""
+    by the inverse of this group element (angle about a nonzero ``axis``,
+    position and velocity offsets)."""
 
     angle: float = 0.0
     axis: tuple = (0.0, 0.0, 1.0)
     pos: tuple = (0.0, 0.0, 0.0)
     vel: tuple = (0.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        if np.linalg.norm(np.asarray(self.axis, dtype=float)) == 0.0:
+            raise ValueError("init error axis must be nonzero")
+
     def as_nav(self) -> NavState:
         ax = np.asarray(self.axis, dtype=float)
-        nrm = np.linalg.norm(ax)
-        if nrm == 0.0:
-            raise ValueError("init error axis must be nonzero")
-        r = rodrigues_exp(ax / nrm * self.angle)
+        r = rodrigues_exp(ax / np.linalg.norm(ax) * self.angle)
         return NavState(r, np.asarray(self.pos, dtype=float),
                         np.asarray(self.vel, dtype=float))
 

@@ -215,7 +215,15 @@ def test_seed_flag_is_recorded(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(conf), "--out-dir", str(out),
                  "--seed", "42"]) == 0
-    assert parse_config(out / "config.txt").seed == 42
+    assert parse_config(out / "config.txt").noise.seed == 42
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--quick", "--seed", "-1",
+                 "--out-dir", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point_smoke():

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from se23nav import (InsufficientLandmarks, LandmarkMap, LandmarkObservation,
+from se23nav import (Gains, InitError, InsufficientLandmarks,
+                     LandmarkObservation, NoiseSpec, TrajectorySpec,
                      UnknownLandmarkId, check_configuration, dataio)
 from se23nav.dataio import (BOTH_GRAVITY, ESTIMATES_HEADER, METRICS_HEADER,
                             EmptyStream, NonMonotonicTime, ParseError,
@@ -264,12 +265,12 @@ def test_config_roundtrip_default_and_waypoints(tmp_path):
     write_config(p, cfg)
     assert parse_config(p) == cfg
 
-    wp = RunConfig(trajectory="waypoints",
-                   waypoint_times=(0.0, 1.5, 3.0),
-                   waypoint_points=((0.0, 0.0, 0.0), (1.0, 2.0, 0.5),
-                                    (3.0, 1.0, 1.0)),
-                   gravity_mode=BOTH_GRAVITY, seed=17,
-                   noise_std_omega=0.12, noise_std_accel=0.11)
+    wp = RunConfig(trajectory=TrajectorySpec(
+                       kind="waypoints", waypoint_times=(0.0, 1.5, 3.0),
+                       waypoint_points=((0.0, 0.0, 0.0), (1.0, 2.0, 0.5),
+                                        (3.0, 1.0, 1.0))),
+                   gravity_mode=BOTH_GRAVITY,
+                   noise=NoiseSpec(std_omega=0.12, std_accel=0.11, seed=17))
     write_config(p, wp)
     back = parse_config(p)
     assert back == wp
@@ -277,8 +278,8 @@ def test_config_roundtrip_default_and_waypoints(tmp_path):
     assert RunConfig().modes() == ("known",)
 
     # every key away from its default, so each key's value shape round-trips
-    every = RunConfig(
-        duration=3.5, imu_rate=100.0, obs_rate=25.0, gravity_mode="adaptive",
+    every = config_override(
+        RunConfig(), duration=3.5, imu_rate=100.0, obs_rate=25.0, gravity_mode="adaptive",
         representation="quaternion", seed=9, max_correction_dt=0.2,
         noise_std_omega=0.01, noise_std_accel=0.02, noise_std_obs=1.0 / 3.0,
         k_w=2.5, k_v=7.0, k_a=8.0, gamma_sigma=1.5, k_sigma=0.3, gamma_g=1.25,
@@ -291,10 +292,12 @@ def test_config_roundtrip_default_and_waypoints(tmp_path):
         pitch_phase=0.6, waypoint_times=(0.0, 2.0, 3.5),
         waypoint_points=((5.0, 5.0, 5.0), (6.0, 4.5, 5.5), (5.5, 6.0, 4.0)),
         map_file="survey.csv")
-    default = RunConfig()
-    assert all(getattr(every, f.name) != getattr(default, f.name)
-               for f in dataclasses.fields(RunConfig))
+    q = tmp_path / "default.conf"
     write_config(p, every)
+    write_config(q, RunConfig())
+    lines, defaults = p.read_text().splitlines(), q.read_text().splitlines()
+    assert len(lines) == 37
+    assert all(a != b for a, b in zip(lines[1:], defaults[1:]))
     assert parse_config(p) == every
 
     # a string value the reader would cut or strip is refused, not written
@@ -307,6 +310,44 @@ def test_config_roundtrip_default_and_waypoints(tmp_path):
         assert not q.exists()
 
 
+CONFIG_KEYS = [
+    "duration", "imu_rate", "obs_rate", "gravity_mode", "representation",
+    "max_correction_dt", "noise_std_omega", "noise_std_accel", "noise_std_obs",
+    "seed", "k_w", "k_v", "k_a", "gamma_sigma", "k_sigma", "gamma_g", "mu",
+    "g_ref", "init_angle", "init_axis", "init_pos", "init_vel", "trajectory",
+    "center", "amplitude", "freq", "phase", "radius", "yaw_amp", "yaw_freq",
+    "pitch_amp", "pitch_freq", "pitch_phase", "waypoint_times",
+    "waypoint_points", "map_file",
+]
+
+
+def test_config_schema_is_pinned(tmp_path):
+    p = tmp_path / "config.txt"
+    cfg = config_override(RunConfig(), seed=17, noise_std_obs=0.02)
+    write_config(p, cfg)
+    lines = p.read_text().splitlines()[1:]
+    assert [line.split("=", 1)[0] for line in lines] == CONFIG_KEYS
+
+    # each RunConfig field, and each field of the four specs, owns one key
+    specs = {"noise": NoiseSpec, "gains": Gains, "init_error": InitError,
+             "trajectory": TrajectorySpec}
+    owners = [(f.name, None) for f in dataclasses.fields(RunConfig)
+              if f.name not in specs]
+    owners += [(name, f.name) for name, spec in specs.items()
+               for f in dataclasses.fields(spec)]
+    table = [(name, sub) for name, sub, _ in dataio._CONFIG_KEYS.values()]
+    assert len(set(table)) == len(table) == len(CONFIG_KEYS)
+    assert sorted(table, key=str) == sorted(owners, key=str)
+
+    # key order does not matter to the reader: seed back after representation
+    seed = lines.index("seed=17")
+    moved = lines[:seed] + lines[seed + 1:]
+    moved.insert(CONFIG_KEYS.index("representation") + 1, "seed=17")
+    assert moved != lines
+    p.write_text("\n".join(moved) + "\n")
+    assert parse_config(p) == cfg
+
+
 def test_config_parse_tolerates_spacing_and_comments(tmp_path):
     p = tmp_path / "run.conf"
     p.write_text("# leading comment\n"
@@ -315,7 +356,7 @@ def test_config_parse_tolerates_spacing_and_comments(tmp_path):
                  "duration=2.0\n"
                  "seed =  3\n")
     cfg = parse_config(p)
-    assert cfg.k_w == 5.0 and cfg.duration == 2.0 and cfg.seed == 3
+    assert cfg.gains.k_w == 5.0 and cfg.duration == 2.0 and cfg.noise.seed == 3
     # untouched keys keep their defaults
     assert cfg.imu_rate == 200.0
 
@@ -361,6 +402,7 @@ def test_config_validation_rules(tmp_path):
         ("k_sigma=0.0", "strictly positive"),
         ("init_axis=0.0,0.0,0.0", "init_axis"),
         ("trajectory=spiral", "unknown trajectory"),
+        ("seed=-1", "seed"),
     ]
     for line, needle in cases:
         p.write_text(line + "\n")
@@ -370,8 +412,8 @@ def test_config_validation_rules(tmp_path):
 
 
 def test_config_to_scenario_and_override():
-    cfg = RunConfig(duration=2.0, seed=5, noise_std_omega=0.12,
-                    noise_std_accel=0.11, k_w=4.0)
+    cfg = RunConfig(duration=2.0, gains=Gains(k_w=4.0),
+                    noise=NoiseSpec(std_omega=0.12, std_accel=0.11, seed=5))
     lmap = default_landmark_map()
     scn = config_to_scenario(cfg, lmap)
     assert scn.duration == 2.0
@@ -399,6 +441,12 @@ def test_config_to_scenario_and_override():
     assert config_override(cfg, duration=5.0).duration == 5.0
     # the original is untouched
     assert cfg.duration == 2.0
+    # overrides take the file's keys and keep a spec's other fields
+    assert config_override(cfg, seed=9, noise_std_obs=0.02).noise == NoiseSpec(
+        std_omega=0.12, std_accel=0.11, std_obs=0.02, seed=9)
+    with pytest.raises(ValidationError) as ei:
+        config_override(cfg, k_w=0.0)
+    assert "k_w" in str(ei.value)
 
 
 def test_config_shape_lookup_rejects_unknown_default():

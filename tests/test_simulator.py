@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from se23nav import (GRAVITY_ENU, Gains, ImuSample, InitError, NoiseSpec,
-                     ObserverState, RunResult, Scenario, TrajectorySpec,
-                     UnstableSetWarning, apply_init_error, build_streams,
-                     correct, default_landmark_map, default_scenario,
-                     hover_scenario, nav_error, predict, rodrigues_exp,
-                     run_closed_loop, run_scenario, so3_distance, summarize)
-from se23nav.simulator import (TrajectoryError, generate_truth, synthesize_imu,
-                               time_grid, trajectory_attitude, trajectory_pose)
+from se23nav import (GRAVITY_ENU, InitError, NoiseSpec, ObserverState,
+                     TrajectorySpec, UnstableSetWarning, apply_init_error,
+                     build_streams, correct, default_landmark_map,
+                     default_scenario, hover_scenario, nav_error, predict,
+                     rodrigues_exp, run_closed_loop, run_scenario,
+                     so3_distance, summarize)
+from se23nav.simulator import (TrajectoryError, synthesize_imu, time_grid,
+                               trajectory_attitude, trajectory_pose)
 
 NS = 1_000_000_000
 
@@ -126,6 +126,10 @@ def test_trajectory_validation():
                        waypoint_points=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
     with pytest.raises(ValueError):
         InitError(axis=(0.0, 0.0, 0.0)).as_nav()
+    for bad in ({"std_obs": -0.1}, {"seed": -1}):
+        with pytest.raises(ValueError) as ei:
+            NoiseSpec(**bad)
+        assert next(iter(bad)) in str(ei.value)
 
 
 def test_imu_noise_statistics():
