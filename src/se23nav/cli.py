@@ -85,7 +85,7 @@ def _series_name(cfg: dataio.RunConfig, mode: str, stem: str = "metrics",
 def _print_mode_summary(mode: str, result) -> None:
     info = summarize(result)
     last = result.final
-    print(f"mode {mode}: {len(result.rows)} metric rows")
+    print(f"mode {mode}: {len(result)} metric rows")
     print(f"  attitude distance {result.initial.att:.6g} -> {last.att:.6g}")
     print(f"  position error    {result.initial.pos:.6g} -> {last.pos:.6g} m")
     print(f"  velocity error    {result.initial.vel:.6g} -> {last.vel:.6g} m/s")
@@ -99,7 +99,7 @@ def _print_mode_summary(mode: str, result) -> None:
 
 def _print_estimate_summary(mode: str, result) -> None:
     p, v = result.final.p_est, result.final.v_est
-    print(f"mode {mode}: no ground truth; {len(result.rows)} estimate epochs")
+    print(f"mode {mode}: no ground truth; {len(result)} estimate epochs")
     print(f"  final position  ({p[0]:.6g}, {p[1]:.6g}, {p[2]:.6g}) m")
     print(f"  final velocity  ({v[0]:.6g}, {v[1]:.6g}, {v[2]:.6g}) m/s")
 
@@ -173,11 +173,11 @@ def _run_modes(cfg: dataio.RunConfig, scenario, truth, imu, observations,
             **_engine_kwargs(scenario, mode, cfg.representation))
         if truth:
             name = _series_name(cfg, mode, replayed=replayed)
-            dataio.write_metrics_csv(out / name, result.rows)
+            dataio.write_metrics_csv(out / name, result)
             _print_mode_summary(mode, result)
         else:
             name = _series_name(cfg, mode, stem="estimates", replayed=replayed)
-            dataio.write_estimates_csv(out / name, result.rows)
+            dataio.write_estimates_csv(out / name, result)
             _print_estimate_summary(mode, result)
         print(f"  wrote {out / name}")
         if not (replayed and truth):
@@ -188,10 +188,23 @@ def _run_modes(cfg: dataio.RunConfig, scenario, truth, imu, observations,
         elif recorded.read_bytes() == (out / name).read_bytes():
             print(f"  {recorded.name}: bit-exact match")
         else:
-            print(f"error: {recorded.name} does not match the replay",
-                  file=sys.stderr)
+            print(f"error: {recorded.name} does not match the replay: "
+                  f"{_first_difference(recorded, out / name)}", file=sys.stderr)
             status = EXIT_RUNTIME
     return status
+
+
+def _first_difference(recorded: Path, replayed: Path) -> str:
+    """The first row and column at which a recorded metrics file departs
+    from its replay, with both values."""
+    lines = (p.read_text(errors="replace").splitlines() for p in (recorded, replayed))
+    for a, b in ((a, b) for a, b in zip(*lines) if a != b):
+        a, b = a.split(",") + ["(none)"], b.split(",") + ["(none)"]
+        j = next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
+        name = (dataio.METRICS_HEADER.split(",") + ["(extra)"] * len(a))[j]
+        return (f"first difference at t_ns={b[0]}, column {name}: "
+                f"recorded {a[j]}, replayed {b[j]}")
+    return "one file has more rows than the other"
 
 
 def run_simulate(args) -> int:
@@ -283,18 +296,7 @@ def _sample_projection_bounds(n: int, rng) -> tuple[int, int]:
     valid = lam[:, 0] + lam[:, 1] > 1e-9 * lam[:, 2]
 
     q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    r = np.empty((n, 3, 3))
-    r[:, 0, 0] = 1.0 - 2.0 * (qy * qy + qz * qz)
-    r[:, 0, 1] = 2.0 * (qx * qy - qw * qz)
-    r[:, 0, 2] = 2.0 * (qx * qz + qw * qy)
-    r[:, 1, 0] = 2.0 * (qx * qy + qw * qz)
-    r[:, 1, 1] = 1.0 - 2.0 * (qx * qx + qz * qz)
-    r[:, 1, 2] = 2.0 * (qy * qz - qw * qx)
-    r[:, 2, 0] = 2.0 * (qx * qz - qw * qy)
-    r[:, 2, 1] = 2.0 * (qy * qz + qw * qx)
-    r[:, 2, 2] = 1.0 - 2.0 * (qx * qx + qy * qy)
+    r = quat_to_rot(q / np.linalg.norm(q, axis=1, keepdims=True))
 
     mr = scatter @ r
     axis = 0.5 * np.stack([mr[:, 2, 1] - mr[:, 1, 2],
@@ -345,17 +347,14 @@ def _selftest_checks(quick: bool, inject: bool):
     scn_eq = default_scenario(duration=4.0 if quick else 8.0)
     _, _, _, rm = run_scenario(scn_eq)
     _, _, _, rq = run_scenario(scn_eq, representation=QUATERNION)
-    dev = 0.0
-    for a, b in zip(rm.rows, rq.rows):
-        dev = max(dev, abs(a.att - b.att),
-                  float(np.max(np.abs(a.p_est - b.p_est))),
-                  float(np.max(np.abs(a.v_est - b.v_est))))
+    dev = max(float(np.max(np.abs(getattr(rm, name) - getattr(rq, name))))
+              for name in ("att", "p_est", "v_est"))
     yield ("quaternion/matrix equivalence", dev < 1e-7,
            f"max series deviation {dev:.3e}")
 
     hover = hover_scenario(duration=1.0 if quick else 2.0)
     _, _, _, res = run_scenario(hover)
-    drift = max(max(r.att for r in res.rows), max(r.pos for r in res.rows))
+    drift = float(max(res.att.max(), res.pos.max()))
     yield ("stationary fixed point", drift < 1e-10, f"max drift {drift:.3e}")
 
     scn = default_scenario(duration=6.0 if quick else 10.0)
@@ -371,9 +370,9 @@ def _selftest_checks(quick: bool, inject: bool):
 
     r1 = run_scenario(scn)[3]
     r2 = run_scenario(scn)[3]
-    same = all(a.att == b.att and a.pos == b.pos and a.vel == b.vel
-               and a.grav == b.grav for a, b in zip(r1.rows, r2.rows))
-    yield ("deterministic re-run", same and len(r1.rows) == len(r2.rows),
+    same = all(np.array_equal(getattr(r1, name), getattr(r2, name))
+               for name in ("t_ns", "att", "pos", "vel", "grav"))
+    yield ("deterministic re-run", same,
            "identical metric rows" if same else "rows differ")
 
 

@@ -27,6 +27,7 @@ comment, blank lines are ignored, unknown or repeated keys are errors.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -35,8 +36,8 @@ import numpy as np
 from .measurement import InsufficientLandmarks, LandmarkMap, LandmarkObservation
 from .observer import (ADAPTIVE_GRAVITY, KNOWN_GRAVITY, MATRIX,
                        REPRESENTATIONS, Gains)
-from .simulator import (ImuSample, InitError, MetricsRow, NoiseSpec, Scenario,
-                        TrajectorySpec, TruthSample, default_scenario,
+from .simulator import (ImuSample, InitError, NoiseSpec, RunResult, Scenario,
+                        TrajectorySpec, TruthSample, _stack, default_scenario,
                         merge_events)
 
 IMU_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
@@ -77,10 +78,6 @@ def _fmt(x: float) -> str:
 
 def _fmt_seq(values) -> str:
     return ",".join(_fmt(v) for v in values)
-
-
-def _fmt_row(key: int, values) -> str:
-    return f"{int(key)},{_fmt_seq(values)}"
 
 
 def _write_csv(path, header: str, lines) -> None:
@@ -131,74 +128,87 @@ def _records(path, header: str):
 
 
 def _timed_records(path, header: str, what: str):
-    """Yield ``(t_ns, values)`` for a time-stamped stream: integer time that
-    strictly increases, then finite numbers.  Raises :class:`EmptyStream`
-    when there are no records."""
-    prev = None
+    """The times (a list of ints) and the numbers (an ``(n, k)`` array) of a
+    time-stamped stream: integer time that strictly increases, then finite
+    numbers.  Raises :class:`EmptyStream` when there are no records."""
+    times, values = [], array("d")  # packed doubles: a list of lists costs 4x
     for lineno, f in _records(path, header):
         t = _parse_int(path, lineno, f[0])
-        if prev is not None and t <= prev:
+        if times and t <= times[-1]:
             raise NonMonotonicTime(path, lineno,
-                                   f"time {t} does not increase past {prev}")
-        prev = t
-        yield t, [_parse_float(path, lineno, s) for s in f[1:]]
-    if prev is None:
+                                   f"time {t} does not increase past {times[-1]}")
+        try:
+            row = [float(s) for s in f[1:]]
+        except ValueError:
+            row = [math.nan]
+        if not all(map(math.isfinite, row)):
+            for s in f[1:]:
+                _parse_float(path, lineno, s)  # words the error
+        times.append(t)
+        values.extend(row)
+    if not times:
         raise EmptyStream(f"{path}: no {what} records")
+    return times, np.array(values).reshape(len(times), -1)
 
 
 # ---------------------------------------------------------------------------
 # stream writers
 
+def _write_table(path, header: str, keys, table: np.ndarray) -> None:
+    """One line per key: the key, then its row of ``table``.  Rows convert
+    one at a time: the whole table as floats would cost more than the text."""
+    _write_csv(path, header, (f"{k},{','.join(map(repr, row.tolist()))}"
+                              for k, row in zip(keys, table)))
+
+
 def write_imu_csv(path, samples) -> None:
-    _write_csv(path, IMU_HEADER, (_fmt_row(s.t_ns, [*s.omega, *s.accel])
-                                  for s in samples))
+    _write_table(path, IMU_HEADER, [s.t_ns for s in samples],
+                 np.hstack(_stack(samples, ("omega", 3), ("accel", 3))))
 
 
 def write_truth_csv(path, samples) -> None:
-    _write_csv(path, TRUTH_HEADER, (_fmt_row(s.t_ns, [*s.quat, *s.pos, *s.vel])
-                                    for s in samples))
+    _write_table(path, TRUTH_HEADER, [s.t_ns for s in samples],
+                 np.hstack(_stack(samples, ("quat", 4), ("pos", 3), ("vel", 3))))
 
 
 def write_map_csv(path, lmap: LandmarkMap) -> None:
-    _write_csv(path, MAP_HEADER, (_fmt_row(i, [*p, w]) for i, p, w in
-                                  zip(lmap.ids, lmap.positions, lmap.weights)))
+    _write_table(path, MAP_HEADER, lmap.ids.tolist(),
+                 np.column_stack([lmap.positions, lmap.weights]))
 
 
 def write_obs_csv(path, observations) -> None:
     """``observations`` is a sequence of (t_ns, LandmarkObservation)."""
-    _write_csv(path, OBS_HEADER, (f"{int(t_ns)},{_fmt_row(i, y)}"
-                                  for t_ns, obs in observations
-                                  for i, y in zip(obs.ids, obs.points)))
+    keys = [f"{int(t_ns)},{i}" for t_ns, obs in observations for i in obs.ids.tolist()]
+    points = [y for _, obs in observations for y in obs.points]
+    _write_table(path, OBS_HEADER, keys, np.array(points).reshape(-1, 3))
 
 
-def _state_values(r: MetricsRow) -> list:
-    """The values of a row's :data:`_STATE_COLS`."""
-    return [*r.quat, *r.p_est, *r.v_est, *r.sigma, *r.g_hat]
+def _state_table(run: RunResult) -> np.ndarray:
+    """The :data:`_STATE_COLS` of a run record, one row per instant."""
+    return np.hstack([run.quat, run.p_est, run.v_est, run.sigma, run.g_hat])
 
 
-def write_metrics_csv(path, rows) -> None:
-    _write_csv(path, METRICS_HEADER, (
-        _fmt_row(r.t_ns, [r.att, r.pos, r.vel, r.grav, *_state_values(r)])
-        for r in rows))
+def write_metrics_csv(path, run: RunResult) -> None:
+    _write_table(path, METRICS_HEADER, run.t_ns.tolist(), np.column_stack(
+        [run.att, run.pos, run.vel, run.grav, _state_table(run)]))
 
 
-def write_estimates_csv(path, rows) -> None:
+def write_estimates_csv(path, run: RunResult) -> None:
     """Estimate-only series, used when a run has no ground truth to score."""
-    _write_csv(path, ESTIMATES_HEADER, (_fmt_row(r.t_ns, _state_values(r))
-                                        for r in rows))
+    _write_table(path, ESTIMATES_HEADER, run.t_ns.tolist(), _state_table(run))
 
 
 # ---------------------------------------------------------------------------
 # stream readers
 
 def load_imu_csv(path) -> list[ImuSample]:
-    return [ImuSample(t, np.array(v[0:3]), np.array(v[3:6]))
-            for t, v in _timed_records(path, IMU_HEADER, "inertial")]
+    t, v = _timed_records(path, IMU_HEADER, "inertial")
+    return [ImuSample(*row) for row in zip(t, v[:, 0:3], v[:, 3:6])]
 
 
 def load_truth_csv(path) -> list[TruthSample]:
-    return [TruthSample(t, np.array(v[0:4]), np.array(v[4:7]), np.array(v[7:10]))
-            for t, v in _timed_records(path, TRUTH_HEADER, "ground-truth")]
+    t, v = _timed_records(path, TRUTH_HEADER, "ground-truth")
+    return [TruthSample(*row) for row in zip(t, v[:, 0:4], v[:, 4:7], v[:, 7:10])]
 
 
 def load_map_csv(path) -> LandmarkMap:
@@ -243,22 +253,21 @@ def load_obs_csv(path) -> list[tuple[int, LandmarkObservation]]:
             for t, ids, pts in epochs]
 
 
-def _state_row(t_ns: int, errors, v) -> MetricsRow:
-    """A row from its four error norms and the values of :data:`_STATE_COLS`."""
-    return MetricsRow(t_ns, *errors, quat=np.array(v[0:4]),
-                      p_est=np.array(v[4:7]), v_est=np.array(v[7:10]),
-                      sigma=np.array(v[10:13]), g_hat=np.array(v[13:16]))
+def _record(t_ns, errors, v: np.ndarray) -> RunResult:
+    """A run record from its four error columns and the :data:`_STATE_COLS`."""
+    return RunResult(np.array(t_ns), *errors, quat=v[:, 0:4], p_est=v[:, 4:7],
+                     v_est=v[:, 7:10], sigma=v[:, 10:13], g_hat=v[:, 13:16])
 
 
-def load_metrics_csv(path) -> list[MetricsRow]:
-    return [_state_row(t, v[:4], v[4:])
-            for t, v in _timed_records(path, METRICS_HEADER, "metrics")]
+def load_metrics_csv(path) -> RunResult:
+    t, v = _timed_records(path, METRICS_HEADER, "metrics")
+    return _record(t, v[:, :4].T, v[:, 4:])
 
 
-def load_estimates_csv(path) -> list[MetricsRow]:
-    """Rows without error norms (``None``)."""
-    return [_state_row(t, (None,) * 4, v)
-            for t, v in _timed_records(path, ESTIMATES_HEADER, "estimate")]
+def load_estimates_csv(path) -> RunResult:
+    """A record without error norms (``None``)."""
+    t, v = _timed_records(path, ESTIMATES_HEADER, "estimate")
+    return _record(t, (None,) * 4, v)
 
 
 def align(imu, observations, truth=None):

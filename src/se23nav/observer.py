@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .liegroup import (NavState, _cross, _norm, nav_error, orthonormalize_rows,
-                       so3_distance, so3_gammas, vex_antisym)
+from .liegroup import (NavState, _cross, orthonormalize_rows, so3_gammas,
+                       vex_antisym)
 from .measurement import LandmarkMap, LandmarkObservation, MeasurementSummary, aggregate
 from .quaternion import (quat_from_rotvec, quat_normalize, quat_product,
                          quat_to_rot, rot_to_quat)
@@ -380,12 +380,28 @@ def correct_quaternion(state: ObserverState, lmap: LandmarkMap,
     return correct(state, lmap, obs, gains, dt)
 
 
+def _error_norms(r, p, v, r_hat, p_hat, v_hat, g_hat, g_true):
+    """Attitude distance and position, velocity and gravity error norms of
+    estimates against true states, stacked along any leading axes.  Each row
+    rounds as ``nav_error``, ``so3_distance`` and ``_norm`` do for one, since
+    products are stacked ``@`` and norms ``np.vecdot`` (not ``np.einsum``)."""
+    rt = np.swapaxes(r_hat, -1, -2)
+    r_err = r @ rt
+    p_err = (r @ -(rt @ p_hat[..., None]))[..., 0] + p
+    v_err = (r @ -(rt @ v_hat[..., None]))[..., 0] + v
+    g_err = g_true - (r_err @ g_hat[..., None])[..., 0]
+    d = (3.0 - np.trace(r_err, axis1=-2, axis2=-1)) / 4.0
+    d = np.where(d > 0.0, d, 0.0)  # min(1.0, max(0.0, d)), NaN to 0.0
+    att = np.where(d < 1.0, d, 1.0)
+    return (att, *(np.sqrt(np.vecdot(e, e)) for e in (p_err, v_err, g_err)))
+
+
 def error_metrics(x: NavState, state: ObserverState,
                   g_true: np.ndarray = GRAVITY_ENU) -> Metrics:
     """Error metrics of an estimate against the true state."""
-    err = nav_error(x, state.nav)
-    return Metrics(att=so3_distance(err.r), pos=_norm(err.p), vel=_norm(err.v),
-                   grav=_norm(g_true - err.r @ state.g_hat))
+    nav = state.nav
+    return Metrics(*map(float, _error_norms(x.r, x.p, x.v, nav.r, nav.p, nav.v,
+                                            state.g_hat, np.asarray(g_true, dtype=float))))
 
 
 def warn_if_unstable(r_err: np.ndarray) -> bool:

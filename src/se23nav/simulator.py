@@ -26,8 +26,8 @@ import numpy as np
 from .liegroup import NavState, rodrigues_exp
 from .measurement import LandmarkMap, LandmarkObservation, synthesize_observation
 from .observer import (GRAVITY_ENU, KNOWN_GRAVITY, MATRIX, Gains, Metrics,
-                       ObserverState, correct, error_metrics, predict,
-                       warn_if_unstable)
+                       ObserverState, _error_norms, correct, error_metrics,
+                       predict, warn_if_unstable)
 from .quaternion import quat_to_rot, rot_to_quat
 
 NS_PER_S = 1_000_000_000
@@ -288,8 +288,7 @@ def generate_truth(spec: TrajectorySpec, t_ns: np.ndarray) -> list[TruthSample]:
     t = t_ns.astype(float) / NS_PER_S
     pos, vel, _ = trajectory_pose(spec, t)
     rots, _ = trajectory_attitude(spec, t)
-    return [TruthSample(int(t_ns[i]), rot_to_quat(rots[i]), pos[i], vel[i])
-            for i in range(t_ns.size)]
+    return [TruthSample(*row) for row in zip(t_ns.tolist(), rot_to_quat(rots), pos, vel)]
 
 
 def synthesize_imu(spec: TrajectorySpec, t_ns: np.ndarray,
@@ -309,7 +308,7 @@ def synthesize_imu(spec: TrajectorySpec, t_ns: np.ndarray,
             raise ValueError("a generator is required for noisy inertial samples")
         omegas = omegas + rng.normal(size=(n, 3)) * noise.std_omega
         sf = sf + rng.normal(size=(n, 3)) * noise.std_accel
-    return [ImuSample(int(t_ns[i]), omegas[i], sf[i]) for i in range(n)]
+    return [ImuSample(*row) for row in zip(t_ns.tolist(), omegas, sf)]
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +316,9 @@ def synthesize_imu(spec: TrajectorySpec, t_ns: np.ndarray,
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """One run record: the four error norms against truth (``None`` for a
-    run without truth), the estimated state (attitude as a unit quaternion)
-    and the adapted quantities."""
+    """One row of a run record: the four error norms against truth
+    (``None`` for a run without truth), the estimated state (attitude as a
+    unit quaternion) and the adapted quantities."""
 
     t_ns: int
     att: float | None
@@ -335,24 +334,55 @@ class MetricsRow:
 
 @dataclass
 class RunResult:
-    """Outcome of one closed-loop run.
+    """Columnar record of one closed-loop run that reads as a sequence of
+    :class:`MetricsRow` (``rows`` lists them, ``final`` is the last).
 
-    ``rows`` has one entry per instant with ground truth, or per processed
-    instant when there is no truth at all (its error norms are then
-    ``None``); ``initial`` is the pre-correction error at the first instant
-    with truth, ``None`` without truth.
+    Row ``k`` of each column (named as the row fields) is the ``k``-th
+    instant with ground truth, or processed instant when there is no truth;
+    the error columns are then ``None``.  ``initial`` is the pre-correction
+    error at the first instant with truth; a record read from a file has no
+    ``initial`` or ``final_state``.
     """
 
-    rows: list
-    initial: Metrics | None
-    final_state: ObserverState
+    t_ns: np.ndarray
+    att: np.ndarray | None
+    pos: np.ndarray | None
+    vel: np.ndarray | None
+    grav: np.ndarray | None
+    quat: np.ndarray
+    p_est: np.ndarray
+    v_est: np.ndarray
+    sigma: np.ndarray
+    g_hat: np.ndarray
+    initial: Metrics | None = None
+    final_state: ObserverState | None = None
+
+    def __len__(self) -> int:
+        return len(self.t_ns)
+
+    def __getitem__(self, k: int) -> MetricsRow:
+        errors = (None if c is None else float(c[k])
+                  for c in (self.att, self.pos, self.vel, self.grav))
+        return MetricsRow(int(self.t_ns[k]), *errors, quat=self.quat[k],
+                          p_est=self.p_est[k], v_est=self.v_est[k],
+                          sigma=self.sigma[k], g_hat=self.g_hat[k])
+
+    @property
+    def rows(self) -> list[MetricsRow]:
+        return list(self)
 
     @property
     def final(self) -> MetricsRow:
-        return self.rows[-1]
+        return self[-1]
 
 
 _EV_TRUTH, _EV_IMU, _EV_OBS = 0, 1, 2
+
+
+def _stack(samples, *fields) -> list[np.ndarray]:
+    """One ``(n, width)`` array per ``(name, width)`` field of ``samples``."""
+    return [np.array([getattr(s, name) for s in samples], dtype=float).reshape(-1, width)
+            for name, width in fields]
 
 
 def merge_events(truth: Sequence[TruthSample], imu: Sequence[ImuSample],
@@ -398,7 +428,16 @@ def run_closed_loop(truth: Sequence[TruthSample],
         raise ValueError("no events to process")
 
     g_true = np.asarray(g_ref, dtype=float)
-    rows: list[MetricsRow] = []
+    # truth as arrays, in event order, each built once
+    truth = [e[2] for e in events if e[1] == _EV_TRUTH]
+    t_quat, t_pos, t_vel = _stack(truth, ("quat", 4), ("pos", 3), ("vel", 3))
+    t_rot = quat_to_rot(t_quat)
+
+    # the estimate at every recorded instant, scored after the loop
+    n = len(truth) or len(events)
+    rot, quat = np.empty((n, 3, 3)), np.empty((n, 4))
+    p_col, v_col, sigma_col, g_col = (np.empty((n, 3)) for _ in range(4))
+    t_col, truth_rows, seen = [], [], 0  # seen: truth events so far
     pending_imu: ImuSample | None = None
     state_t_ns: int | None = None
     last_corr_ns: int | None = None
@@ -410,11 +449,12 @@ def run_closed_loop(truth: Sequence[TruthSample],
                             (t_ns - state_t_ns) / NS_PER_S)
         state_t_ns = t_ns
 
-        true_nav = None
+        row = None
         for _, kind, payload in group:
             if kind == _EV_TRUTH:
-                true_nav = payload.nav()
+                row, seen = seen, seen + 1
                 if initial is None:
+                    true_nav = NavState(t_rot[row], t_pos[row], t_vel[row])
                     initial = error_metrics(true_nav, state, g_true)
                     warn_if_unstable(true_nav.r @ state.nav.r.T)
             elif kind == _EV_IMU:
@@ -428,19 +468,26 @@ def run_closed_loop(truth: Sequence[TruthSample],
                 state = correct(state, lmap, payload, gains, dt_c)
                 last_corr_ns = t_ns
 
-        if true_nav is None and truth:
+        if row is None and truth:
             continue
-        errors = (None,) * 4
-        if true_nav is not None:
-            met = error_metrics(true_nav, state, g_true)
-            errors = (met.att, met.pos, met.vel, met.grav)
-        rows.append(MetricsRow(
-            t_ns, *errors,
-            quat=rot_to_quat(state.nav.r) if state.quat is None else state.quat.copy(),
-            p_est=state.nav.p.copy(), v_est=state.nav.v.copy(),
-            sigma=state.sigma_hat.copy(), g_hat=state.g_hat.copy()))
+        k = len(t_col)
+        t_col.append(t_ns)
+        truth_rows.append(row)
+        rot[k], p_col[k], v_col[k] = state.nav.r, state.nav.p, state.nav.v
+        sigma_col[k], g_col[k] = state.sigma_hat, state.g_hat
+        if state.quat is not None:
+            quat[k] = state.quat
 
-    return RunResult(rows=rows, initial=initial, final_state=state)
+    k = len(t_col)
+    rot, quat, p_col, v_col, sigma_col, g_col = (
+        a[:k] for a in (rot, quat, p_col, v_col, sigma_col, g_col))
+    i = np.array(truth_rows)
+    errors = (_error_norms(t_rot[i], t_pos[i], t_vel[i], rot, p_col, v_col, g_col,
+                           g_true) if truth else (None,) * 4)
+    return RunResult(np.array(t_col), *errors,
+                     quat=quat if state.quat is not None else rot_to_quat(rot),
+                     p_est=p_col, v_est=v_col, sigma=sigma_col, g_hat=g_col,
+                     initial=initial, final_state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +531,12 @@ def build_streams(scn: Scenario):
     every = round(scn.imu_rate / scn.obs_rate)
     if every < 1:
         raise ValueError("landmark epochs cannot outpace inertial samples")
-    observations = []
-    for i in range(0, t_ns.size, every):
-        s = truth[i]
-        obs = synthesize_observation(s.nav(), scn.lmap,
-                                     noise_std=scn.noise.std_obs, rng=rng_obs)
-        observations.append((int(s.t_ns), obs))
+    epochs = truth[::every]
+    rots = quat_to_rot(np.array([s.quat for s in epochs]))
+    observations = [(s.t_ns, synthesize_observation(NavState(r, s.pos, s.vel), scn.lmap,
+                                                    noise_std=scn.noise.std_obs,
+                                                    rng=rng_obs))
+                    for s, r in zip(epochs, rots)]
     return truth, imu, observations
 
 
@@ -524,30 +571,21 @@ def summarize(result: RunResult) -> dict:
     """Run summary: initial and final errors, the time the attitude error
     first dropped below :data:`ATT_CONVERGED`, and per-metric mean-square
     values over the last fifth of the run."""
+    n = len(result)
     if result.initial is None:
         fs = result.final_state
-        return {"samples": len(result.rows), "sigma_hat": fs.sigma_hat.tolist(),
+        return {"samples": n, "sigma_hat": fs.sigma_hat.tolist(),
                 "g_hat": fs.g_hat.tolist()}
     last = result.final
-    t_conv = None
-    for r in result.rows:
-        if r.att < ATT_CONVERGED:
-            t_conv = r.t_ns / NS_PER_S
-            break
-    tail = result.rows[-max(1, len(result.rows) // 5):]
-    steady = {name: float(np.mean([getattr(r, name) ** 2 for r in tail]))
-              for name in ("att", "pos", "vel", "grav")}
+    below = np.flatnonzero(result.att < ATT_CONVERGED)
+    tail = slice(-max(1, n // 5), None)
     return {
-        "samples": len(result.rows),
-        "initial_att": result.initial.att,
-        "initial_pos": result.initial.pos,
-        "initial_vel": result.initial.vel,
-        "final_att": last.att,
-        "final_pos": last.pos,
-        "final_vel": last.vel,
-        "final_grav": last.grav,
-        "time_to_converge": t_conv,
-        "steady_state_ms": steady,
+        "samples": n,
+        **{f"initial_{name}": getattr(result.initial, name) for name in ("att", "pos", "vel")},
+        **{f"final_{name}": getattr(last, name) for name in ("att", "pos", "vel", "grav")},
+        "time_to_converge": int(result.t_ns[below[0]]) / NS_PER_S if below.size else None,
+        "steady_state_ms": {name: float(np.mean(getattr(result, name)[tail] ** 2))
+                            for name in ("att", "pos", "vel", "grav")},
         "sigma_hat": last.sigma.tolist(),
         "g_hat": last.g_hat.tolist(),
     }

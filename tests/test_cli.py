@@ -76,6 +76,7 @@ def test_replay_detects_tampering(tmp_path, capsys):
     recorded = out / "metrics.csv"
     lines = recorded.read_text().splitlines()
     parts = lines[-1].split(",")
+    replayed_att = parts[1]
     parts[1] = "0.5"
     lines[-1] = ",".join(parts)
     recorded.write_text("\n".join(lines) + "\n")
@@ -83,6 +84,9 @@ def test_replay_detects_tampering(tmp_path, capsys):
     assert main(["replay", "--out-dir", str(out)]) == 3
     err = capsys.readouterr().err
     assert "does not match" in err
+    # the message names the first differing row and column, with both values
+    assert (f"t_ns={parts[0]}, column att_err: recorded 0.5, "
+            f"replayed {replayed_att}") in err
 
 
 def test_replay_without_recorded_metrics(tmp_path, capsys):

@@ -14,6 +14,7 @@ from se23nav import (Gains, InitError, InsufficientLandmarks,
                      LandmarkObservation, NoiseSpec, TrajectorySpec,
                      UnknownLandmarkId, check_configuration, dataio)
 from se23nav.dataio import (BOTH_GRAVITY, ESTIMATES_HEADER, METRICS_HEADER,
+                            TRUTH_HEADER,
                             EmptyStream, NonMonotonicTime, ParseError,
                             RunConfig, ValidationError, align,
                             config_override, config_to_scenario,
@@ -22,7 +23,7 @@ from se23nav.dataio import (BOTH_GRAVITY, ESTIMATES_HEADER, METRICS_HEADER,
                             load_truth_csv, parse_config, write_config,
                             write_estimates_csv, write_imu_csv, write_map_csv,
                             write_metrics_csv, write_obs_csv, write_truth_csv)
-from se23nav.simulator import (ImuSample, MetricsRow, TruthSample,
+from se23nav.simulator import (ImuSample, RunResult, TruthSample,
                                default_landmark_map, default_scenario)
 
 AWKWARD = [math.pi, 1.0 / 3.0, -2.5e-7, 9.81, -1.0, 0.0]
@@ -114,28 +115,30 @@ def test_obs_roundtrip_groups_equal_times(tmp_path):
 
 
 def test_metrics_and_estimates_roundtrip(tmp_path):
-    rows = [MetricsRow(t_ns=5_000_000 * k, att=0.1 * k, pos=k + 0.5,
-                       vel=1.0 / (k + 2), grav=0.0,
-                       quat=np.array([1.0, 0.0, 0.0, 0.0]),
-                       p_est=np.full(3, k * math.pi),
-                       v_est=np.array([0.1, 0.2, 0.3]),
-                       sigma=np.zeros(3),
-                       g_hat=np.array([0.0, 0.0, -9.81]))
-            for k in range(4)]
+    k = np.arange(4)
+    rows = RunResult(t_ns=5_000_000 * k, att=0.1 * k, pos=k + 0.5,
+                     vel=1.0 / (k + 2), grav=np.zeros(4),
+                     quat=np.tile([1.0, 0.0, 0.0, 0.0], (4, 1)),
+                     p_est=np.repeat(k[:, None] * math.pi, 3, axis=1),
+                     v_est=np.tile([0.1, 0.2, 0.3], (4, 1)),
+                     sigma=np.zeros((4, 3)),
+                     g_hat=np.tile([0.0, 0.0, -9.81], (4, 1)))
     a, b = tmp_path / "m1.csv", tmp_path / "m2.csv"
     write_metrics_csv(a, rows)
     loaded = load_metrics_csv(a)
     write_metrics_csv(b, loaded)
     assert a.read_bytes() == b.read_bytes()
     assert loaded[2].pos == rows[2].pos
+    assert [r.t_ns for r in loaded.rows] == [0, 5_000_000, 10_000_000, 15_000_000]
+    assert loaded.final.vel == 1.0 / 5
 
     # estimate-only rows carry no error norms; the estimates file drops them
-    unscored = [MetricsRow(t_ns=5_000_000 * k, att=None, pos=None, vel=None,
-                           grav=None, quat=np.array([0.5, 0.5, 0.5, 0.5]),
-                           p_est=np.array([1.0, 2.0, 3.0]) * k,
-                           v_est=np.zeros(3), sigma=np.full(3, 0.25),
-                           g_hat=np.zeros(3))
-                for k in range(3)]
+    k = np.arange(3)
+    unscored = RunResult(t_ns=5_000_000 * k, att=None, pos=None, vel=None,
+                         grav=None, quat=np.tile([0.5, 0.5, 0.5, 0.5], (3, 1)),
+                         p_est=k[:, None] * np.array([1.0, 2.0, 3.0]),
+                         v_est=np.zeros((3, 3)), sigma=np.full((3, 3), 0.25),
+                         g_hat=np.zeros((3, 3)))
     c, d = tmp_path / "e1.csv", tmp_path / "e2.csv"
     write_estimates_csv(c, unscored)
     eloaded = load_estimates_csv(c)
@@ -212,6 +215,34 @@ def test_parse_errors_carry_path_and_line(tmp_path):
         with pytest.raises(NonMonotonicTime) as ei:
             load(p)
         assert str(ei.value).startswith(f"{p}:4:")
+
+    # the first bad line in file order is reported, whatever its fault
+    def two_bad(header, bad3, bad5):
+        row = ",".join(["0.5"] * header.count(","))
+        lines = [header] + [f"{t},{row}" for t in range(4)]
+        for lineno, field in ((3, bad3), (5, bad5)):
+            lines[lineno - 1] = lines[lineno - 1].rsplit(",", 1)[0] + "," + field
+        p.write_text("\n".join(lines) + "\n")
+
+    for header, load in ((TRUTH_HEADER, load_truth_csv),
+                         (METRICS_HEADER, load_metrics_csv)):
+        two_bad(header, "nan", "oops")
+        with pytest.raises(ParseError) as ei:
+            load(p)
+        assert str(ei.value) == f"{p}:3: non-finite number 'nan'"
+        two_bad(header, "oops", "nan")
+        with pytest.raises(ParseError) as ei:
+            load(p)
+        assert str(ei.value) == f"{p}:3: bad number 'oops'"
+        two_bad(header, "inf", "0.5,0.5")
+        with pytest.raises(ParseError) as ei:
+            load(p)
+        assert str(ei.value) == f"{p}:3: non-finite number 'inf'"
+        two_bad(header, "0.5,0.5", "nan")
+        with pytest.raises(ParseError) as ei:
+            load(p)
+        n = header.count(",") + 1
+        assert str(ei.value) == f"{p}:3: expected {n} fields, got {n + 1}"
 
     with pytest.raises(OSError) as ei:
         load_imu_csv(tmp_path / "missing.csv")

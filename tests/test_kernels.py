@@ -15,9 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from se23nav import (ADAPTIVE_GRAVITY, Gains, NavState, ObserverState,
-                     compute_corrections, gravity_step, sigma_step)
+                     compute_corrections, error_metrics, gravity_step,
+                     sigma_step)
 from se23nav.liegroup import (SMALL_ANGLE, _SERIES_ANGLE, _cross, _norm,
-                              orthonormalize_rows, skew, so3_gammas, vex_antisym)
+                              nav_error, orthonormalize_rows, skew, so3_distance,
+                              so3_gammas, vex_antisym)
+from se23nav.observer import _error_norms
 from se23nav.measurement import MeasurementSummary
 from se23nav.quaternion import (quat_from_rotvec, quat_normalize, quat_product,
                                 quat_to_rot, rot_to_quat)
@@ -132,6 +135,12 @@ def ref_quat_from_rotvec(v):
     axis = v / theta
     s = np.sin(half)
     return np.array([np.cos(half), s * axis[0], s * axis[1], s * axis[2]])
+
+
+def ref_error_norms(r, p, v, r_hat, p_hat, v_hat, g_hat, g_true):
+    err = nav_error(NavState(r, p, v), NavState(r_hat, p_hat, v_hat))
+    return [so3_distance(err.r), _norm(err.p), _norm(err.v),
+            _norm(g_true - err.r @ g_hat)]
 
 
 def unit(q):
@@ -275,3 +284,93 @@ def test_rot_to_quat_branches(branch, r):
             assert same_bits(rot_to_quat(m), ref_rot_to_quat(m))
     assert ref_rot_to_quat_branch(r) == branch
     assert sum(ref_rot_to_quat_branch(m) == branch for m in cases) > 100
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels: every row as the one-row call rounds it
+
+_HALF_TURNS = [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+               np.diag([-1.0, -1.0, 1.0])]
+_SIGNED_ZEROS = np.array([-0.0, 0.0, -0.0])
+
+
+def check_error_norms(rows, g_true):
+    """The stacked scorer and ``error_metrics`` against the per-row formula."""
+    cols = [np.array(c) for c in zip(*rows)]
+    got = np.column_stack(_error_norms(*cols, g_true))
+    want = np.array([ref_error_norms(*row, g_true) for row in rows])
+    assert got.tobytes() == want.tobytes()
+    for (r, p, v, r_hat, p_hat, v_hat, g_hat), w in zip(rows, want):
+        state = ObserverState(nav=NavState(r_hat, p_hat, v_hat),
+                              sigma_hat=np.zeros(3), g_hat=g_hat)
+        met = error_metrics(NavState(r, p, v), state, g_true)
+        assert same_bits([met.att, met.pos, met.vel, met.grav], w)
+
+
+_state = st.tuples(vec4, vec3, vec3)
+
+
+@given(st.lists(st.tuples(_state, _state, vec3), min_size=1, max_size=6), vec3)
+def test_error_norms_stacked(rows, g_true):
+    rows = [(ref_quat_to_rot(unit(q)), p, v, ref_quat_to_rot(unit(qh)), ph, vh, g)
+            for (q, p, v), (qh, ph, vh), g in rows]
+    check_error_norms(rows, g_true)
+
+
+def test_error_norms_at_identity_half_turns_and_signed_zeros():
+    rng = np.random.default_rng(5)
+    rots = [np.eye(3), *_HALF_TURNS,
+            ref_quat_to_rot(ref_quat_from_rotvec(np.array([0.0, 0.0, np.pi])))]
+    vecs = [np.zeros(3), _SIGNED_ZEROS, rng.normal(size=3)]
+    # velocities reuse the position pairs, swapped
+    rows = [(r, p, p_hat, r_hat, p_hat, p, g)
+            for r in rots for r_hat in rots
+            for p in vecs for p_hat in vecs for g in vecs[:2]]
+    check_error_norms(rows, np.array([0.0, 0.0, -9.81]))
+    check_error_norms(rows, _SIGNED_ZEROS)
+
+
+@given(st.lists(vec4, min_size=1, max_size=8))
+def test_quat_to_rot_stacked(qs):
+    qs = np.array([unit(q) for q in qs])
+    want = np.array([quat_to_rot(q) for q in qs])
+    got = quat_to_rot(qs)
+    assert same_bits(got, want)
+    # a product's rounding depends on the memory layout of its operands
+    assert got.flags.c_contiguous
+    assert same_bits(quat_to_rot(qs.reshape(1, -1, 4)), want[None])
+
+
+def test_quat_to_rot_stacked_signed_zeros():
+    qs = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, -0.0, 0.0, -0.0],
+                   [0.0, 1.0, -0.0, 0.0], [-0.0, 0.0, 0.0, -1.0]])
+    assert same_bits(quat_to_rot(qs), np.array([quat_to_rot(q) for q in qs]))
+
+
+@given(st.lists(mat3, min_size=1, max_size=8))
+def test_rot_to_quat_stacked(ms):
+    ms = np.array(ms)
+    with np.errstate(all="ignore"):
+        assert same_bits(rot_to_quat(ms), np.array([rot_to_quat(m) for m in ms]))
+
+
+def test_rot_to_quat_stacked_over_every_branch_and_nan():
+    rng = np.random.default_rng(7)
+    ms = [np.eye(3), *_HALF_TURNS]
+    for base in list(ms):
+        ms += [base @ ref_quat_to_rot(ref_quat_from_rotvec(rng.normal(size=3) * 0.3))
+               for _ in range(50)]
+    branches = {ref_rot_to_quat_branch(m) for m in ms}
+    assert branches == {0, 1, 2, 3}
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (2, 0)):
+        m = ms[1].copy()
+        m[i, j] = np.nan
+        ms.append(m)
+    ms = np.array(ms)
+    with np.errstate(all="ignore"):
+        want = np.array([rot_to_quat(m) for m in ms])
+        assert same_bits(rot_to_quat(ms), want)
+        # per matrix as the numpy formula, NaN rows included
+        for m, w in zip(ms, want):
+            assert same_bits(w, ref_rot_to_quat(m))
+    assert np.isnan(want[-5:]).all()

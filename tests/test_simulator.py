@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from se23nav import (GRAVITY_ENU, InitError, NoiseSpec, ObserverState,
+from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
+                     QUATERNION, InitError, NoiseSpec, ObserverState,
                      TrajectorySpec, UnstableSetWarning, apply_init_error,
                      build_streams, correct, default_landmark_map,
                      default_scenario, hover_scenario, nav_error, predict,
                      rodrigues_exp, run_closed_loop, run_scenario,
                      so3_distance, summarize)
+from se23nav.liegroup import _norm
+from se23nav.quaternion import rot_to_quat
 from se23nav.simulator import (TrajectoryError, synthesize_imu, time_grid,
                                trajectory_attitude, trajectory_pose)
 
@@ -220,20 +223,31 @@ def test_initial_error_construction():
 
 
 def test_engine_matches_manual_event_replay():
+    for representation in (MATRIX, QUATERNION):
+        for gravity_mode in (KNOWN_GRAVITY, ADAPTIVE_GRAVITY):
+            _check_manual_event_replay(representation, gravity_mode)
+
+
+def _check_manual_event_replay(representation, gravity_mode):
     # replays the documented event semantics by hand: propagation holds the
-    # newest inertial sample, corrections span the gap since the last epoch
-    scn = dataclasses.replace(default_scenario(noisy=True, seed=9),
+    # newest inertial sample, corrections span the gap since the last epoch;
+    # every truth instant is scored with the per-row error formula
+    scn = dataclasses.replace(default_scenario(gravity_mode, noisy=True, seed=9),
                               duration=1.0, imu_rate=50.0, obs_rate=10.0)
-    truth, imu, observations, result = run_scenario(scn)
+    truth, imu, observations, result = run_scenario(scn, representation)
+    g_ref = np.asarray(scn.g_ref, dtype=float)
 
     st = ObserverState.create(apply_init_error(truth[0].nav(), scn.init_error),
-                              g_ref=np.asarray(scn.g_ref, dtype=float))
+                              gravity_mode=gravity_mode, g_ref=g_ref,
+                              representation=representation)
     imu_at = {s.t_ns: s for s in imu}
     obs_at = {t: o for t, o in observations}
     pending = None
     s_t = None
     last_corr = None
-    for t in [s.t_ns for s in truth]:
+    rows = []
+    for sample in truth:
+        t = sample.t_ns
         if s_t is not None and t > s_t and pending is not None:
             st = predict(st, pending.omega, pending.accel, (t - s_t) / NS)
         s_t = t
@@ -244,12 +258,21 @@ def test_engine_matches_manual_event_replay():
             dt_c = min(dt_c, scn.max_correction_dt)
             st = correct(st, scn.lmap, obs_at[t], scn.gains, dt_c)
             last_corr = t
+        err = nav_error(sample.nav(), st.nav)
+        quat = rot_to_quat(st.nav.r) if st.quat is None else st.quat
+        rows.append([so3_distance(err.r), _norm(err.p), _norm(err.v),
+                     _norm(g_ref - err.r @ st.g_hat), *quat, *st.nav.p,
+                     *st.nav.v, *st.sigma_hat, *st.g_hat])
+
+    got = np.column_stack([result.att, result.pos, result.vel, result.grav,
+                           result.quat, result.p_est, result.v_est,
+                           result.sigma, result.g_hat])
+    assert result.t_ns.tolist() == [s.t_ns for s in truth]
+    assert got.tobytes() == np.array(rows).tobytes()
     fs = result.final_state
-    assert np.array_equal(fs.nav.r, st.nav.r)
-    assert np.array_equal(fs.nav.p, st.nav.p)
-    assert np.array_equal(fs.nav.v, st.nav.v)
-    assert np.array_equal(fs.sigma_hat, st.sigma_hat)
-    assert np.array_equal(fs.g_hat, st.g_hat)
+    for a, b in ((fs.nav.r, st.nav.r), (fs.nav.p, st.nav.p), (fs.nav.v, st.nav.v),
+                 (fs.sigma_hat, st.sigma_hat), (fs.g_hat, st.g_hat)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_initial_metrics_are_pre_correction():
