@@ -36,9 +36,9 @@ import numpy as np
 from .measurement import InsufficientLandmarks, LandmarkMap, LandmarkObservation
 from .observer import (ADAPTIVE_GRAVITY, KNOWN_GRAVITY, MATRIX,
                        REPRESENTATIONS, Gains)
-from .simulator import (ImuSample, InitError, NoiseSpec, RunResult, Scenario,
-                        TrajectorySpec, TruthSample, _stack, default_scenario,
-                        merge_events)
+from .simulator import (NS_PER_S, ImuSample, InitError, NoiseSpec, RunResult,
+                        Scenario, TrajectorySpec, TruthSample, _stack,
+                        default_scenario, merge_events)
 
 IMU_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
 TRUTH_HEADER = "t_ns,qw,qx,qy,qz,px,py,pz,vx,vy,vz"
@@ -426,6 +426,9 @@ def parse_config(path) -> RunConfig:
     return config_override(RunConfig(), **seen)
 
 
+_MAX_SAMPLES = 1_000_000  # a run holds about 2 KB per inertial sample
+
+
 def validate_config(cfg: RunConfig) -> None:
     """Check the run-level rules; each spec checks its own fields."""
     def bad(msg):
@@ -440,8 +443,16 @@ def validate_config(cfg: RunConfig) -> None:
     ratio = cfg.imu_rate / cfg.obs_rate
     if abs(ratio - round(ratio)) > 1e-9:
         bad("the landmark epoch rate must divide the inertial rate")
-    if round(cfg.duration * cfg.imu_rate) < 1:
+    samples = cfg.duration * cfg.imu_rate  # the grid holds round(samples) + 1
+    if samples >= _MAX_SAMPLES - 0.5:
+        bad(f"duration, imu_rate: more than {_MAX_SAMPLES:,} inertial samples")
+    if round(samples) < 1:
         bad("duration is shorter than one inertial sample")
+    step_ns = NS_PER_S / cfg.imu_rate
+    if step_ns <= 0.5:
+        bad("imu_rate: the inertial step rounds to 0 ns")
+    if step_ns * round(samples) >= 2.0 ** 63:
+        bad("duration: the run ends past the int64 nanosecond clock")
     if cfg.gravity_mode not in GRAVITY_MODES:
         bad(f"gravity_mode must be one of {GRAVITY_MODES}, got {cfg.gravity_mode!r}")
     if cfg.representation not in REPRESENTATIONS:

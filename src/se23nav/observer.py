@@ -24,6 +24,7 @@ product in numpy.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -275,6 +276,14 @@ def _flow(r: np.ndarray, p: np.ndarray, v: np.ndarray, a: np.ndarray,
             [v[i] + x1[i] * dt for i in range(3)])
 
 
+def _gammas(rotvec: np.ndarray):
+    """:func:`so3_gammas`; an overflow raises :class:`NonFiniteState`."""
+    try:
+        return so3_gammas(rotvec)
+    except OverflowError:
+        raise NonFiniteState("observer state left the finite range") from None
+
+
 def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
             dt: float) -> ObserverState:
     """Propagate one inertial sample, including the current gravity estimate.
@@ -285,7 +294,7 @@ def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
     """
     r = state.nav.r
     rotvec = np.asarray(omega_m, dtype=float) * dt
-    g0, g1, g2 = so3_gammas(rotvec)
+    g0, g1, g2 = _gammas(rotvec)
     p_m, v_m = _flow(r, state.nav.p, state.nav.v, np.asarray(a_m, dtype=float),
                      g1, g2, dt)
     g = state.g_hat.tolist()
@@ -311,7 +320,7 @@ def correct(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
     """
     corr, sigma, g_hat = _innovate(state, lmap, obs, gains, dt)
     rotvec = np.array([-c * dt for c in corr.w_omega.tolist()])
-    g0c, g1c, _ = so3_gammas(rotvec)
+    g0c, g1c, _ = _gammas(rotvec)
     r_new, q_new, turn = _turn(state.nav.r, state.quat, rotvec, g0c, left=True)
     pos_in = np.array([-c * dt for c in corr.w_vel.tolist()])
     # innovation part of the acceleration channel; gravity lives in predict
@@ -336,7 +345,7 @@ def step(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
     """
     r = state.nav.r
     rotvec = np.asarray(omega_m, dtype=float) * dt
-    g0, g1, g2 = so3_gammas(rotvec)
+    g0, g1, g2 = _gammas(rotvec)
     r_y, q_y, _ = _turn(r, state.quat, rotvec, g0, left=False)
     p_y, v_y = map(np.array, _flow(r, state.nav.p, state.nav.v,
                                    np.asarray(a_m, dtype=float), g1, g2, dt))
@@ -348,7 +357,7 @@ def step(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
 
     w_acc = corr.w_acc.tolist()
     rotvec_c = np.array([-c * dt for c in corr.w_omega.tolist()])
-    g0c, g1c, g2c = so3_gammas(rotvec_c)
+    g0c, g1c, g2c = _gammas(rotvec_c)
     vel_term = (g1c @ np.array([-c * dt for c in corr.w_vel.tolist()])).tolist()
     acc_term = (g2c @ np.array([c * dt for c in w_acc])).tolist()
     c5 = (g1c @ np.array([-c * dt for c in w_acc])).tolist()
@@ -419,23 +428,16 @@ def warn_if_unstable(r_err: np.ndarray) -> bool:
     return False
 
 
-class _w_omega_sign_fault:
-    """Context manager flipping the sign of the attitude correction.
+@contextlib.contextmanager
+def inject_w_omega_sign_fault():
+    """Flip the sign of the attitude correction inside the ``with`` block.
 
     Exists solely so the self test can demonstrate that its convergence
     check fails when the update law is broken.
     """
-
-    def __enter__(self):
-        global _FAULT_FLIP_W_OMEGA
-        _FAULT_FLIP_W_OMEGA = True
-        return self
-
-    def __exit__(self, *exc):
-        global _FAULT_FLIP_W_OMEGA
-        _FAULT_FLIP_W_OMEGA = False
-        return False
-
-
-def inject_w_omega_sign_fault() -> _w_omega_sign_fault:
-    return _w_omega_sign_fault()
+    global _FAULT_FLIP_W_OMEGA
+    saved, _FAULT_FLIP_W_OMEGA = _FAULT_FLIP_W_OMEGA, True
+    try:
+        yield
+    finally:
+        _FAULT_FLIP_W_OMEGA = saved

@@ -175,14 +175,17 @@ def trajectory_pose(spec: TrajectorySpec, t: np.ndarray):
     return _spline_eval(spec, t)
 
 
-def _rot_y(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+# Rotations about the lateral and the vertical axis, (..., 3, 3) for angles (...).
+def _rot_y(theta) -> np.ndarray:
+    c, s = np.cos(theta), np.sin(theta)
+    o, i = np.zeros_like(c), np.ones_like(c)
+    return np.stack([c, o, s, o, i, o, -s, o, c], axis=-1).reshape(c.shape + (3, 3))
 
 
-def _rot_z(psi: float) -> np.ndarray:
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def _rot_z(psi) -> np.ndarray:
+    c, s = np.cos(psi), np.sin(psi)
+    o, i = np.zeros_like(c), np.ones_like(c)
+    return np.stack([c, -s, o, s, c, o, o, o, i], axis=-1).reshape(c.shape + (3, 3))
 
 
 def trajectory_attitude(spec: TrajectorySpec, t: np.ndarray):
@@ -193,24 +196,15 @@ def trajectory_attitude(spec: TrajectorySpec, t: np.ndarray):
     pitch rate through the lateral axis.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    n = t.size
-    rots = np.empty((n, 3, 3))
-    omegas = np.zeros((n, 3))
     if spec.kind == "hover":
         r = _rot_z(spec.yaw_amp) @ _rot_y(spec.pitch_amp)
-        rots[:] = r
-        return rots, omegas
+        return np.tile(r, (t.size, 1, 1)), np.zeros((t.size, 3))
     psi = spec.yaw_amp * np.sin(spec.yaw_freq * t)
     dpsi = spec.yaw_amp * spec.yaw_freq * np.cos(spec.yaw_freq * t)
     th = spec.pitch_amp * np.sin(spec.pitch_freq * t + spec.pitch_phase)
     dth = spec.pitch_amp * spec.pitch_freq * np.cos(spec.pitch_freq * t + spec.pitch_phase)
-    for i in range(n):
-        ct, st = math.cos(th[i]), math.sin(th[i])
-        rots[i] = _rot_z(psi[i]) @ _rot_y(th[i])
-        omegas[i, 0] = -dpsi[i] * st
-        omegas[i, 1] = dth[i]
-        omegas[i, 2] = dpsi[i] * ct
-    return rots, omegas
+    omegas = np.stack([-dpsi * np.sin(th), dth, dpsi * np.cos(th)], axis=-1)
+    return _rot_z(psi) @ _rot_y(th), omegas
 
 
 # ---------------------------------------------------------------------------
@@ -282,33 +276,6 @@ class InitError:
 def apply_init_error(x0: NavState, err: InitError) -> NavState:
     """Initial estimate whose group error against ``x0`` equals ``err``."""
     return err.as_nav().inverse().compose(x0)
-
-
-def generate_truth(spec: TrajectorySpec, t_ns: np.ndarray) -> list[TruthSample]:
-    t = t_ns.astype(float) / NS_PER_S
-    pos, vel, _ = trajectory_pose(spec, t)
-    rots, _ = trajectory_attitude(spec, t)
-    return [TruthSample(*row) for row in zip(t_ns.tolist(), rot_to_quat(rots), pos, vel)]
-
-
-def synthesize_imu(spec: TrajectorySpec, t_ns: np.ndarray,
-                   noise: NoiseSpec | None = None,
-                   g_ref: np.ndarray = GRAVITY_ENU,
-                   rng: np.random.Generator | None = None) -> list[ImuSample]:
-    """Inertial samples at ``t_ns``: true body rate and specific force, plus
-    optional noise drawn in time order from ``rng``."""
-    t = t_ns.astype(float) / NS_PER_S
-    _, _, acc = trajectory_pose(spec, t)
-    rots, omegas = trajectory_attitude(spec, t)
-    g = np.asarray(g_ref, dtype=float)
-    n = t_ns.size
-    sf = np.einsum("nij,nj->ni", rots.transpose(0, 2, 1), acc - g)
-    if noise is not None and not noise.silent():
-        if rng is None:
-            raise ValueError("a generator is required for noisy inertial samples")
-        omegas = omegas + rng.normal(size=(n, 3)) * noise.std_omega
-        sf = sf + rng.normal(size=(n, 3)) * noise.std_accel
-    return [ImuSample(*row) for row in zip(t_ns.tolist(), omegas, sf)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,25 +485,32 @@ def time_grid(duration: float, rate: float) -> np.ndarray:
 
 
 def build_streams(scn: Scenario):
-    """Synthesize the truth, inertial and landmark-epoch streams of a scenario."""
-    t_ns = time_grid(scn.duration, scn.imu_rate)
-    g_ref = np.asarray(scn.g_ref, dtype=float)
-    rng_imu = rng_obs = None
-    if not scn.noise.silent():
-        children = np.random.SeedSequence(scn.noise.seed).spawn(2)
-        rng_imu = np.random.default_rng(children[0])
-        rng_obs = np.random.default_rng(children[1])
-    truth = generate_truth(scn.trajectory, t_ns)
-    imu = synthesize_imu(scn.trajectory, t_ns, scn.noise, g_ref, rng_imu)
+    """Synthesize the truth, inertial and landmark-epoch streams of a scenario
+    from one evaluation of its trajectory on the inertial grid.  Noise, unless
+    silent, is drawn for all rates, then all forces, then epoch by epoch."""
     every = round(scn.imu_rate / scn.obs_rate)
     if every < 1:
         raise ValueError("landmark epochs cannot outpace inertial samples")
-    epochs = truth[::every]
-    rots = quat_to_rot(np.array([s.quat for s in epochs]))
+    t_ns = time_grid(scn.duration, scn.imu_rate)
+    t = t_ns.astype(float) / NS_PER_S
+    pos, vel, acc = trajectory_pose(scn.trajectory, t)
+    rots, omegas = trajectory_attitude(scn.trajectory, t)
+    sf = np.einsum("nij,nj->ni", rots.transpose(0, 2, 1),
+                   acc - np.asarray(scn.g_ref, dtype=float))
+    rng_obs = None
+    if not scn.noise.silent():
+        rng_imu, rng_obs = map(np.random.default_rng,
+                               np.random.SeedSequence(scn.noise.seed).spawn(2))
+        omegas = omegas + rng_imu.normal(size=omegas.shape) * scn.noise.std_omega
+        sf = sf + rng_imu.normal(size=sf.shape) * scn.noise.std_accel
+    quats = rot_to_quat(rots)
+    stamps = t_ns.tolist()
+    truth = [TruthSample(*row) for row in zip(stamps, quats, pos, vel)]
+    imu = [ImuSample(*row) for row in zip(stamps, omegas, sf)]
     observations = [(s.t_ns, synthesize_observation(NavState(r, s.pos, s.vel), scn.lmap,
                                                     noise_std=scn.noise.std_obs,
                                                     rng=rng_obs))
-                    for s, r in zip(epochs, rots)]
+                    for s, r in zip(truth[::every], quat_to_rot(quats[::every]))]
     return truth, imu, observations
 
 

@@ -99,8 +99,18 @@ def test_replay_without_recorded_metrics(tmp_path, capsys):
     assert "nothing to compare" in capsys.readouterr().out
 
 
-def test_replay_without_truth_writes_estimates(tmp_path, capsys):
-    conf = write_conf(tmp_path / "run.conf")
+_TRAJECTORY_KEYS = {
+    "lissajous": {},
+    "circle": {"trajectory": "circle"},
+    "hover": {"trajectory": "hover"},
+    "waypoints": {"trajectory": "waypoints", "waypoint_times": "0.0,1.0,2.5",
+                  "waypoint_points": "5.0,5.0,5.0;6.0,5.5,5.2;7.0,4.0,5.4"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TRAJECTORY_KEYS))
+def test_replay_without_truth_writes_estimates(tmp_path, capsys, kind):
+    conf = write_conf(tmp_path / "run.conf", **_TRAJECTORY_KEYS[kind])
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(conf), "--out-dir", str(out)]) == 0
     recorded = load_metrics_csv(out / "metrics.csv")
@@ -228,6 +238,21 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
                  "--out-dir", str(out)]) == 2
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_oversized_time_grid_is_a_config_error(tmp_path, capsys):
+    conf = write_conf(tmp_path / "run.conf", duration="1e12")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(conf), "--out-dir", str(out)]) == 2
+    assert "duration, imu_rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kernel_overflow_exits_3(tmp_path, capsys):
+    conf = write_conf(tmp_path / "run.conf", amplitude="1e160,1.5,0.8")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(conf), "--out-dir", str(out)]) == 3
+    assert "error: observer state left the finite range" in capsys.readouterr().err
 
 
 def test_console_entry_point_smoke():

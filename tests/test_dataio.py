@@ -434,6 +434,10 @@ def test_config_validation_rules(tmp_path):
         ("init_axis=0.0,0.0,0.0", "init_axis"),
         ("trajectory=spiral", "unknown trajectory"),
         ("seed=-1", "seed"),
+        ("duration=1e12", "duration, imu_rate"),
+        ("imu_rate=2e9", "imu_rate"),
+        ("duration=2e-9\nimu_rate=2e9\nobs_rate=1e9", "imu_rate: the inertial step"),
+        ("duration=9.5e9\nimu_rate=1e-4\nobs_rate=1e-4", "int64"),
     ]
     for line, needle in cases:
         p.write_text(line + "\n")

@@ -8,6 +8,8 @@ fails the test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -24,6 +26,7 @@ from se23nav.observer import _error_norms
 from se23nav.measurement import MeasurementSummary
 from se23nav.quaternion import (quat_from_rotvec, quat_normalize, quat_product,
                                 quat_to_rot, rot_to_quat)
+from se23nav.simulator import NS_PER_S, TrajectorySpec, time_grid, trajectory_attitude
 
 # one coordinate: zero, or a magnitude in [1e-8, 1e3] of either sign
 _coord = st.one_of(st.just(0.0), st.floats(1e-8, 1e3), st.floats(-1e3, -1e-8))
@@ -143,6 +146,35 @@ def ref_error_norms(r, p, v, r_hat, p_hat, v_hat, g_hat, g_true):
             _norm(g_true - err.r @ g_hat)]
 
 
+def ref_trajectory_attitude(spec, t):
+    """The per-sample loop: scalar rotation builders, one product per sample."""
+    def rot_y(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+    def rot_z(psi):
+        c, s = math.cos(psi), math.sin(psi)
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+    n = t.size
+    rots = np.empty((n, 3, 3))
+    omegas = np.zeros((n, 3))
+    if spec.kind == "hover":
+        rots[:] = rot_z(spec.yaw_amp) @ rot_y(spec.pitch_amp)
+        return rots, omegas
+    psi = spec.yaw_amp * np.sin(spec.yaw_freq * t)
+    dpsi = spec.yaw_amp * spec.yaw_freq * np.cos(spec.yaw_freq * t)
+    th = spec.pitch_amp * np.sin(spec.pitch_freq * t + spec.pitch_phase)
+    dth = spec.pitch_amp * spec.pitch_freq * np.cos(spec.pitch_freq * t + spec.pitch_phase)
+    for i in range(n):
+        ct, st_ = math.cos(th[i]), math.sin(th[i])
+        rots[i] = rot_z(psi[i]) @ rot_y(th[i])
+        omegas[i, 0] = -dpsi[i] * st_
+        omegas[i, 1] = dth[i]
+        omegas[i, 2] = dpsi[i] * ct
+    return rots, omegas
+
+
 def unit(q):
     n = np.linalg.norm(q)
     assume(n > 1e-6)
@@ -151,6 +183,26 @@ def unit(q):
 
 # ---------------------------------------------------------------------------
 # generated inputs
+
+_attitude_spec = st.builds(
+    TrajectorySpec,
+    kind=st.sampled_from(("lissajous", "circle", "hover", "waypoints")),
+    yaw_amp=_coord, yaw_freq=_coord, pitch_amp=_coord, pitch_freq=_coord,
+    pitch_phase=_coord, waypoint_times=st.just((0.0, 1.0)),
+    waypoint_points=st.just(((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))))
+# the 40 s and 80 s reference grids at 200 Hz, or n samples at 1, 20 or 200 Hz
+_attitude_grid = st.one_of(
+    st.sampled_from((time_grid(40.0, 200.0), time_grid(80.0, 200.0))),
+    st.builds(lambda n, rate: time_grid(n / rate, rate),
+              st.integers(0, 400), st.sampled_from((1.0, 20.0, 200.0))))
+
+
+@given(_attitude_spec, _attitude_grid)
+def test_trajectory_attitude(spec, t_ns):
+    t = t_ns.astype(float) / NS_PER_S
+    for got, want in zip(trajectory_attitude(spec, t), ref_trajectory_attitude(spec, t)):
+        assert same_bits(got, want)
+
 
 @given(vec3, vec3, vec4)
 def test_cross_and_norms(a, b, q):

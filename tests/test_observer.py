@@ -11,13 +11,13 @@ from numpy.testing import assert_allclose
 
 from conftest import random_rotation, rk4_pose
 
-from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, QUATERNION,
-                     Gains, LandmarkMap, ModeError, NavState, NonFiniteState,
-                     ObserverState, UnstableSetWarning, compute_corrections,
-                     correct, correct_quaternion, error_metrics, gravity_step,
-                     nav_error, predict, predict_quaternion, quat_to_rot,
-                     rodrigues_exp, sigma_step, so3_distance, step,
-                     synthesize_observation)
+from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
+                     QUATERNION, Gains, LandmarkMap, ModeError, NavState,
+                     NonFiniteState, ObserverState, UnstableSetWarning,
+                     compute_corrections, correct, correct_quaternion,
+                     error_metrics, gravity_step, nav_error, predict,
+                     predict_quaternion, quat_to_rot, rodrigues_exp, sigma_step,
+                     so3_distance, step, synthesize_observation)
 from se23nav.liegroup import skew
 from se23nav.measurement import MeasurementSummary
 from se23nav.observer import inject_w_omega_sign_fault, warn_if_unstable
@@ -85,6 +85,12 @@ def test_fault_hook_flips_attitude_correction_only():
     assert_allclose(corr.w_vel, np.cross([1.0, 1.0, 1.0], corr.w_omega)
                     - 10.0 * np.array([0.0, 0.5, 0.0]), atol=1e-14)
     # hook is scoped to the context manager
+    corr = compute_corrections(_HAND_SUMMARY, _state(), Gains())
+    assert corr.w_omega[0] < 0.0
+    # and reset when the body raises
+    with pytest.raises(KeyError):
+        with inject_w_omega_sign_fault():
+            raise KeyError
     corr = compute_corrections(_HAND_SUMMARY, _state(), Gains())
     assert corr.w_omega[0] < 0.0
 
@@ -240,6 +246,16 @@ def test_non_finite_inputs_are_rejected():
             predict(st, np.zeros(3), np.array([np.inf, 0.0, 0.0]), 0.01)
         with pytest.raises(NonFiniteState):
             predict(st, np.array([np.nan, 0.0, 0.0]), np.zeros(3), 0.01)
+    # |omega dt| near 1e104 overflows the cube in the rotation integrals
+    omega = np.array([1e106, 0.0, 0.0])
+    lmap = _norm_map(np.random.default_rng(3))
+    obs = synthesize_observation(NavState.identity(), lmap)
+    for rep in (MATRIX, QUATERNION):
+        st = ObserverState.create(NavState.identity(), representation=rep)
+        with pytest.raises(NonFiniteState):
+            predict(st, omega, np.zeros(3), 0.01)
+        with pytest.raises(NonFiniteState):
+            step(st, omega, np.zeros(3), lmap, obs, Gains(), 0.01)
 
 
 def test_create_modes_and_guards():

@@ -20,8 +20,8 @@ from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
                      so3_distance, summarize)
 from se23nav.liegroup import _norm
 from se23nav.quaternion import rot_to_quat
-from se23nav.simulator import (TrajectoryError, synthesize_imu, time_grid,
-                               trajectory_attitude, trajectory_pose)
+from se23nav.simulator import (TrajectoryError, time_grid, trajectory_attitude,
+                               trajectory_pose)
 
 NS = 1_000_000_000
 
@@ -46,12 +46,12 @@ def test_attitude_rate_consistent_with_rotation_flow():
 
 
 def test_specific_force_definition():
-    spec = TrajectorySpec()
-    t = np.arange(0.0, 2.0, 0.01)
-    t_ns = (t * NS).round().astype(np.int64)
-    _, _, acc = trajectory_pose(spec, t)
-    rots, omegas = trajectory_attitude(spec, t)
-    imu = synthesize_imu(spec, t_ns)
+    scn = dataclasses.replace(default_scenario(duration=2.0), imu_rate=100.0)
+    _, imu, _ = build_streams(scn)
+    t = time_grid(2.0, 100.0) / NS
+    _, _, acc = trajectory_pose(scn.trajectory, t)
+    rots, omegas = trajectory_attitude(scn.trajectory, t)
+    assert len(imu) == t.size == 201
     for k in range(0, t.size, 17):
         assert_allclose(imu[k].omega, omegas[k], atol=1e-12)
         assert_allclose(imu[k].accel, rots[k].T @ (acc[k] - GRAVITY_ENU),
@@ -136,20 +136,16 @@ def test_trajectory_validation():
 
 
 def test_imu_noise_statistics():
-    spec = TrajectorySpec()
-    t_ns = time_grid(100.0, 1000.0)
-    clean = synthesize_imu(spec, t_ns)
-    noise = NoiseSpec(std_omega=0.12, std_accel=0.11)
-    rng = np.random.default_rng(7)
-    noisy = synthesize_imu(spec, t_ns, noise, rng=rng)
+    scn = dataclasses.replace(default_scenario(duration=100.0), imu_rate=1000.0)
+    _, clean, _ = build_streams(scn)
+    noise = NoiseSpec(std_omega=0.12, std_accel=0.11, seed=7)
+    _, noisy, _ = build_streams(dataclasses.replace(scn, noise=noise))
     dw = np.array([n.omega - c.omega for n, c in zip(noisy, clean)])
     da = np.array([n.accel - c.accel for n, c in zip(noisy, clean)])
     assert abs(dw.std() - 0.12) / 0.12 < 0.02
     assert abs(da.std() - 0.11) / 0.11 < 0.02
-    with pytest.raises(ValueError):
-        synthesize_imu(spec, t_ns, noise)  # rng required
-    # a silent spec draws nothing even when a generator is supplied
-    silent = synthesize_imu(spec, t_ns, NoiseSpec(), rng=np.random.default_rng(1))
+    # a silent spec draws nothing, whatever its seed
+    _, silent, _ = build_streams(dataclasses.replace(scn, noise=NoiseSpec(seed=1)))
     assert all(np.array_equal(a.omega, b.omega) and np.array_equal(a.accel, b.accel)
                for a, b in zip(silent, clean))
 
