@@ -22,22 +22,22 @@ from .observer import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
                        predict_quaternion, sigma_step, step)
 from .quaternion import (NonUnitQuaternion, quat_from_rotvec, quat_product,
                          quat_to_rot, rot_to_quat)
-from .simulator import (ImuSample, InitError, NoiseSpec, RunResult, Scenario,
-                        TrajectorySpec, TruthSample, apply_init_error,
-                        build_streams, default_landmark_map, default_scenario,
-                        hover_scenario, run_closed_loop, run_scenario,
-                        summarize)
+from .simulator import (ImuSample, ImuStream, InitError, NoiseSpec, RunResult,
+                        Scenario, TrajectorySpec, TruthSample, TruthStream,
+                        apply_init_error, build_streams, default_landmark_map,
+                        default_scenario, hover_scenario, run_closed_loop,
+                        run_scenario, summarize)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ADAPTIVE_GRAVITY", "ConfigReport", "Correction", "GRAVITY_ENU", "Gains",
-    "ImuSample", "InitError", "InsufficientLandmarks", "KNOWN_GRAVITY",
+    "ImuSample", "ImuStream", "InitError", "InsufficientLandmarks", "KNOWN_GRAVITY",
     "LandmarkMap", "LandmarkObservation", "MATRIX", "MeasurementSummary",
     "Metrics", "ModeError", "NavState", "NavTangent", "NoiseSpec",
     "NonFiniteState", "NonUnitQuaternion", "NotSkewSymmetric",
     "ObserverState", "QUATERNION", "RunResult", "Scenario", "TrajectorySpec",
-    "TruthSample", "UnknownLandmarkId", "UnstableSetWarning", "aggregate",
+    "TruthSample", "TruthStream", "UnknownLandmarkId", "UnstableSetWarning", "aggregate",
     "apply_init_error", "build_streams", "check_configuration",
     "compute_corrections", "correct", "correct_quaternion",
     "default_landmark_map", "default_scenario", "error_metrics",

@@ -159,18 +159,19 @@ def _fail(error: Exception, table) -> int:
 
 def _run_modes(cfg: dataio.RunConfig, scenario, truth, imu, observations,
                init_nav, out: Path, replayed: bool) -> int:
-    """Run the engine once per configured gravity mode, write each run's
-    series into ``out`` and print its summary; returns the exit code.
+    """Run the engine once per configured gravity mode, then write each
+    run's series into ``out`` and print its summary; returns the exit code.
 
     A run without truth writes estimates.  A replay writes the
     ``*_replay.csv`` series and compares each scored one byte for byte with
-    the recorded series.
+    the recorded series.  Nothing is written when a run fails.
     """
+    runs = [(mode, run_closed_loop(
+        truth, imu, observations, scenario.lmap, scenario.gains, init_nav,
+        **_engine_kwargs(scenario, mode, cfg.representation))) for mode in cfg.modes()]
+    out.mkdir(parents=True, exist_ok=True)
     status = EXIT_OK
-    for mode in cfg.modes():
-        result = run_closed_loop(
-            truth, imu, observations, scenario.lmap, scenario.gains, init_nav,
-            **_engine_kwargs(scenario, mode, cfg.representation))
+    for mode, result in runs:
         if truth:
             name = _series_name(cfg, mode, replayed=replayed)
             dataio.write_metrics_csv(out / name, result)
@@ -223,17 +224,14 @@ def run_simulate(args) -> int:
         scenario = dataio.config_to_scenario(cfg, lmap, gravity_mode=cfg.modes()[0])
         truth, imu, observations = build_streams(scenario)
         init_nav = apply_init_error(truth[0].nav(), scenario.init_error)
-
         out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        status = _run_modes(cfg, scenario, truth, imu, observations, init_nav,
+                            out, replayed=False)
         dataio.write_truth_csv(out / "truth.csv", truth)
         dataio.write_imu_csv(out / "imu.csv", imu)
         dataio.write_obs_csv(out / "obs.csv", observations)
         dataio.write_map_csv(out / "map.csv", lmap)
         dataio.write_config(out / "config.txt", cfg)
-
-        status = _run_modes(cfg, scenario, truth, imu, observations, init_nav,
-                            out, replayed=False)
         print(f"run recorded in {out}")
         return status
     except Exception as e:
@@ -251,7 +249,7 @@ def run_replay(args) -> int:
         lmap, observations = dataio.load_landmarks(out / "map.csv", out / "obs.csv")
         imu = dataio.load_imu_csv(out / "imu.csv")
         truth_path = out / "truth.csv"
-        truth = dataio.load_truth_csv(truth_path) if truth_path.exists() else []
+        truth = dataio.load_truth_csv(truth_path) if truth_path.exists() else None
     except Exception as e:
         return _fail(e, _INPUT_FAILURES)
 

@@ -36,9 +36,9 @@ import numpy as np
 from .measurement import InsufficientLandmarks, LandmarkMap, LandmarkObservation
 from .observer import (ADAPTIVE_GRAVITY, KNOWN_GRAVITY, MATRIX,
                        REPRESENTATIONS, Gains)
-from .simulator import (NS_PER_S, ImuSample, InitError, NoiseSpec, RunResult,
-                        Scenario, TrajectorySpec, TruthSample, _stack,
-                        default_scenario, merge_events)
+from .simulator import (NS_PER_S, ImuStream, InitError, NoiseSpec, RunResult,
+                        Scenario, TrajectorySpec, TruthStream, default_scenario,
+                        merge_events)
 
 IMU_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
 TRUTH_HEADER = "t_ns,qw,qx,qy,qz,px,py,pz,vx,vy,vz"
@@ -99,6 +99,14 @@ def _parse_int(path, lineno: int, s: str) -> int:
         raise ParseError(path, lineno, f"bad integer {s!r}") from None
 
 
+def _parse_int64(path, lineno: int, s: str) -> int:
+    """A time stamp or landmark id: an integer in the signed 64-bit range."""
+    v = _parse_int(path, lineno, s)
+    if not -2 ** 63 <= v < 2 ** 63:
+        raise ParseError(path, lineno, f"integer {s!r} is outside the signed 64-bit range")
+    return v
+
+
 def _parse_float(path, lineno: int, s: str) -> float:
     try:
         v = float(s)
@@ -128,12 +136,12 @@ def _records(path, header: str):
 
 
 def _timed_records(path, header: str, what: str):
-    """The times (a list of ints) and the numbers (an ``(n, k)`` array) of a
-    time-stamped stream: integer time that strictly increases, then finite
+    """The times (an int64 array) and the numbers (an ``(n, k)`` array) of a
+    time-stamped stream: int64 time that strictly increases, then finite
     numbers.  Raises :class:`EmptyStream` when there are no records."""
     times, values = [], array("d")  # packed doubles: a list of lists costs 4x
     for lineno, f in _records(path, header):
-        t = _parse_int(path, lineno, f[0])
+        t = _parse_int64(path, lineno, f[0])
         if times and t <= times[-1]:
             raise NonMonotonicTime(path, lineno,
                                    f"time {t} does not increase past {times[-1]}")
@@ -148,7 +156,7 @@ def _timed_records(path, header: str, what: str):
         values.extend(row)
     if not times:
         raise EmptyStream(f"{path}: no {what} records")
-    return times, np.array(values).reshape(len(times), -1)
+    return np.array(times, dtype=np.int64), np.array(values).reshape(len(times), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +169,13 @@ def _write_table(path, header: str, keys, table: np.ndarray) -> None:
                               for k, row in zip(keys, table)))
 
 
-def write_imu_csv(path, samples) -> None:
-    _write_table(path, IMU_HEADER, [s.t_ns for s in samples],
-                 np.hstack(_stack(samples, ("omega", 3), ("accel", 3))))
+def write_imu_csv(path, imu: ImuStream) -> None:
+    _write_table(path, IMU_HEADER, imu.t_ns.tolist(), np.hstack([imu.omega, imu.accel]))
 
 
-def write_truth_csv(path, samples) -> None:
-    _write_table(path, TRUTH_HEADER, [s.t_ns for s in samples],
-                 np.hstack(_stack(samples, ("quat", 4), ("pos", 3), ("vel", 3))))
+def write_truth_csv(path, truth: TruthStream) -> None:
+    _write_table(path, TRUTH_HEADER, truth.t_ns.tolist(),
+                 np.hstack([truth.quat, truth.pos, truth.vel]))
 
 
 def write_map_csv(path, lmap: LandmarkMap) -> None:
@@ -201,20 +208,20 @@ def write_estimates_csv(path, run: RunResult) -> None:
 # ---------------------------------------------------------------------------
 # stream readers
 
-def load_imu_csv(path) -> list[ImuSample]:
+def load_imu_csv(path) -> ImuStream:
     t, v = _timed_records(path, IMU_HEADER, "inertial")
-    return [ImuSample(*row) for row in zip(t, v[:, 0:3], v[:, 3:6])]
+    return ImuStream(t, v[:, 0:3], v[:, 3:6])
 
 
-def load_truth_csv(path) -> list[TruthSample]:
+def load_truth_csv(path) -> TruthStream:
     t, v = _timed_records(path, TRUTH_HEADER, "ground-truth")
-    return [TruthSample(*row) for row in zip(t, v[:, 0:4], v[:, 4:7], v[:, 7:10])]
+    return TruthStream(t, v[:, 0:4], v[:, 4:7], v[:, 7:10])
 
 
 def load_map_csv(path) -> LandmarkMap:
     ids, pts, wts, seen = [], [], [], set()
     for lineno, f in _records(path, MAP_HEADER):
-        i = _parse_int(path, lineno, f[0])
+        i = _parse_int64(path, lineno, f[0])
         pts.append([_parse_float(path, lineno, s) for s in f[1:4]])
         w = _parse_float(path, lineno, f[4])
         if w <= 0.0:
@@ -234,14 +241,14 @@ def load_obs_csv(path) -> list[tuple[int, LandmarkObservation]]:
     """Epochs from the long observation format; equal-time rows group."""
     epochs: list[tuple[int, list, list]] = []
     for lineno, f in _records(path, OBS_HEADER):
-        t = _parse_int(path, lineno, f[0])
+        t = _parse_int64(path, lineno, f[0])
         if epochs and t < epochs[-1][0]:
             raise NonMonotonicTime(path, lineno,
                                    f"time {t} goes back past {epochs[-1][0]}")
         if not epochs or t != epochs[-1][0]:
             ids, pts = [], []
             epochs.append((t, ids, pts))
-        i = _parse_int(path, lineno, f[1])
+        i = _parse_int64(path, lineno, f[1])
         if i in ids:
             raise ParseError(path, lineno, f"landmark id {i} repeated within "
                              f"the epoch at {t} ns")
@@ -255,7 +262,7 @@ def load_obs_csv(path) -> list[tuple[int, LandmarkObservation]]:
 
 def _record(t_ns, errors, v: np.ndarray) -> RunResult:
     """A run record from its four error columns and the :data:`_STATE_COLS`."""
-    return RunResult(np.array(t_ns), *errors, quat=v[:, 0:4], p_est=v[:, 4:7],
+    return RunResult(t_ns, *errors, quat=v[:, 0:4], p_est=v[:, 4:7],
                      v_est=v[:, 7:10], sigma=v[:, 10:13], g_hat=v[:, 13:16])
 
 
@@ -271,20 +278,16 @@ def load_estimates_csv(path) -> RunResult:
 
 
 def align(imu, observations, truth=None):
-    """Merge the streams into the engine's time-ordered event list (see
-    :func:`~se23nav.simulator.merge_events`).
-
-    Ground truth is optional (a replay can be scored estimate-only);
+    """The engine's schedule of the streams (see
+    :func:`~se23nav.simulator.merge_events`).  Ground truth is optional;
     inertial data and at least one landmark epoch are not, since the closed
-    loop cannot correct without them.  Each event is a ``(t_ns, kind,
-    payload)`` triple with kinds 0 truth, 1 inertial, 2 epoch.
-    """
+    loop cannot correct without them."""
     if not imu:
         raise EmptyStream("inertial stream is empty")
     if not observations:
         raise EmptyStream("observation stream is empty; the estimator "
                           "cannot correct without landmark epochs")
-    return merge_events(truth or (), imu, observations)
+    return merge_events(truth, imu, observations)
 
 
 def load_landmarks(map_path, obs_path):

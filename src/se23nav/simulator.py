@@ -7,9 +7,9 @@ true body rate and specific force at the sample instant, optionally
 perturbed by seeded Gaussian noise, and are treated as constant over the
 following sample interval.
 
-The engine consumes three time-stamped streams (truth, inertial, landmark
-epochs) merged on an integer-nanosecond clock and records one row per
-instant where truth is available.  Simulation and replay drive the same
+The engine consumes three time-stamped streams (truth and inertial columns,
+landmark epochs) merged on an integer-nanosecond clock and records one row
+per instant where truth is available.  Simulation and replay drive the same
 engine with the same float values, which is what makes replay reproduce a
 recorded run bit for bit.
 """
@@ -17,8 +17,7 @@ recorded run bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,8 +25,8 @@ import numpy as np
 from .liegroup import NavState, rodrigues_exp
 from .measurement import LandmarkMap, LandmarkObservation, synthesize_observation
 from .observer import (GRAVITY_ENU, KNOWN_GRAVITY, MATRIX, Gains, Metrics,
-                       ObserverState, _error_norms, correct, error_metrics,
-                       predict, warn_if_unstable)
+                       NonFiniteState, ObserverState, _error_norms, correct,
+                       error_metrics, predict, warn_if_unstable)
 from .quaternion import quat_to_rot, rot_to_quat
 
 NS_PER_S = 1_000_000_000
@@ -210,6 +209,26 @@ def trajectory_attitude(spec: TrajectorySpec, t: np.ndarray):
 # ---------------------------------------------------------------------------
 # sampled streams
 
+class _Columns:
+    """Array columns as long as ``t_ns``, a strictly increasing 1-D int64 array,
+    that read as a sequence of ``_row`` records (``len``, ``[k]``, iteration)."""
+
+    def __len__(self) -> int:
+        return len(self.t_ns)
+
+    def __getitem__(self, k: int):
+        t, *cols = vars(self).values()  # the fields, in order
+        return self._row(int(t[k]), *(c[k] for c in cols))
+
+    def __post_init__(self):
+        t = self.t_ns
+        if (not (isinstance(t, np.ndarray) and t.dtype == np.int64 and t.ndim == 1)
+                or np.any(t[1:] <= t[:-1])):
+            raise ValueError("t_ns must be a strictly increasing 1-D int64 array")
+        if any(len(c) != len(t) for c in vars(self).values() if isinstance(c, np.ndarray)):
+            raise ValueError("every column must have the length of t_ns")
+
+
 @dataclass(frozen=True)
 class TruthSample:
     """Ground truth at one instant; attitude as a unit quaternion (w, x, y, z)."""
@@ -230,6 +249,27 @@ class ImuSample:
     t_ns: int
     omega: np.ndarray
     accel: np.ndarray
+
+
+@dataclass(frozen=True)
+class TruthStream(_Columns):
+    """Ground truth as ``(n, 4)`` and ``(n, 3)`` columns of :class:`TruthSample`."""
+
+    t_ns: np.ndarray
+    quat: np.ndarray
+    pos: np.ndarray
+    vel: np.ndarray
+    _row = TruthSample
+
+
+@dataclass(frozen=True)
+class ImuStream(_Columns):
+    """Inertial samples as ``(n, 3)`` columns of :class:`ImuSample`."""
+
+    t_ns: np.ndarray
+    omega: np.ndarray
+    accel: np.ndarray
+    _row = ImuSample
 
 
 @dataclass(frozen=True)
@@ -300,7 +340,7 @@ class MetricsRow:
 
 
 @dataclass
-class RunResult:
+class RunResult(_Columns):
     """Columnar record of one closed-loop run that reads as a sequence of
     :class:`MetricsRow` (``rows`` lists them, ``final`` is the last).
 
@@ -324,9 +364,6 @@ class RunResult:
     initial: Metrics | None = None
     final_state: ObserverState | None = None
 
-    def __len__(self) -> int:
-        return len(self.t_ns)
-
     def __getitem__(self, k: int) -> MetricsRow:
         errors = (None if c is None else float(c[k])
                   for c in (self.att, self.pos, self.vel, self.grav))
@@ -343,31 +380,22 @@ class RunResult:
         return self[-1]
 
 
-_EV_TRUTH, _EV_IMU, _EV_OBS = 0, 1, 2
+def merge_events(truth: TruthStream | None, imu: ImuStream,
+                 observations: Sequence[tuple[int, LandmarkObservation]]):
+    """The engine's schedule: the distinct instants of the streams (int64), the
+    index of the inertial sample held at each (the last at or before it, -1
+    before the first) and the epochs keyed by time, which strictly increases."""
+    epoch_t = np.array([t for t, _ in observations], dtype=np.int64)
+    if np.any(epoch_t[1:] <= epoch_t[:-1]):
+        raise ValueError("landmark epoch times must strictly increase")
+    times = [imu.t_ns, epoch_t] + ([] if truth is None else [truth.t_ns])
+    instants = np.unique(np.concatenate(times))
+    held = np.searchsorted(imu.t_ns, instants, side="right") - 1
+    return instants, held, dict(zip(epoch_t.tolist(), (o for _, o in observations)))
 
 
-def _stack(samples, *fields) -> list[np.ndarray]:
-    """One ``(n, width)`` array per ``(name, width)`` field of ``samples``."""
-    return [np.array([getattr(s, name) for s in samples], dtype=float).reshape(-1, width)
-            for name, width in fields]
-
-
-def merge_events(truth: Sequence[TruthSample], imu: Sequence[ImuSample],
-                 observations: Sequence[tuple[int, LandmarkObservation]]) -> list:
-    """One time-ordered list of ``(t_ns, kind, payload)`` events.
-
-    Events at the same instant keep a fixed order: truth, then the inertial
-    sample, then the landmark epoch, so prediction precedes correction.
-    """
-    events = [(s.t_ns, _EV_TRUTH, s) for s in truth]
-    events += [(s.t_ns, _EV_IMU, s) for s in imu]
-    events += [(int(t), _EV_OBS, o) for t, o in observations]
-    events.sort(key=lambda e: (e[0], e[1]))
-    return events
-
-
-def run_closed_loop(truth: Sequence[TruthSample],
-                    imu: Sequence[ImuSample],
+def run_closed_loop(truth: TruthStream | None,
+                    imu: ImuStream,
                     observations: Sequence[tuple[int, LandmarkObservation]],
                     lmap: LandmarkMap,
                     gains: Gains,
@@ -384,74 +412,57 @@ def run_closed_loop(truth: Sequence[TruthSample],
     (propagation happens when the clock advances past them).  Landmark
     epochs correct the predicted state over the interval since the previous
     correction, capped at ``max_correction_dt``; the first epoch uses
-    ``obs_nominal_dt``.  One row is recorded per instant at which truth is
-    known, or per processed instant when ``truth`` is empty, after every
-    event at that instant has been processed.
+    ``obs_nominal_dt``.  One row is recorded per row of ``truth``, or per
+    processed instant when ``truth`` is ``None``, after every event at that
+    instant has been processed.  Raises :class:`NonFiniteState` when an
+    error norm is not finite.
     """
     state = ObserverState.create(init_estimate, gravity_mode=gravity_mode,
                                  g_ref=g_ref, representation=representation)
-    events = merge_events(truth, imu, observations)
-    if not events:
+    instants, held, epochs = merge_events(truth, imu, observations)
+    if not instants.size:
         raise ValueError("no events to process")
 
     g_true = np.asarray(g_ref, dtype=float)
-    # truth as arrays, in event order, each built once
-    truth = [e[2] for e in events if e[1] == _EV_TRUTH]
-    t_quat, t_pos, t_vel = _stack(truth, ("quat", 4), ("pos", 3), ("vel", 3))
-    t_rot = quat_to_rot(t_quat)
-
-    # the estimate at every recorded instant, scored after the loop
-    n = len(truth) or len(events)
+    t_rot = None if truth is None else quat_to_rot(truth.quat)
+    first = -1 if truth is None else int(np.searchsorted(instants, truth.t_ns[0]))
+    # the estimate at every instant, scored after the loop
+    n = instants.size
     rot, quat = np.empty((n, 3, 3)), np.empty((n, 4))
     p_col, v_col, sigma_col, g_col = (np.empty((n, 3)) for _ in range(4))
-    t_col, truth_rows, seen = [], [], 0  # seen: truth events so far
-    pending_imu: ImuSample | None = None
-    state_t_ns: int | None = None
+    stamps, held = instants.tolist(), held.tolist()
     last_corr_ns: int | None = None
     initial: Metrics | None = None
 
-    for t_ns, group in groupby(events, key=lambda e: e[0]):
-        if pending_imu is not None:
-            state = predict(state, pending_imu.omega, pending_imu.accel,
-                            (t_ns - state_t_ns) / NS_PER_S)
-        state_t_ns = t_ns
-
-        row = None
-        for _, kind, payload in group:
-            if kind == _EV_TRUTH:
-                row, seen = seen, seen + 1
-                if initial is None:
-                    true_nav = NavState(t_rot[row], t_pos[row], t_vel[row])
-                    initial = error_metrics(true_nav, state, g_true)
-                    warn_if_unstable(true_nav.r @ state.nav.r.T)
-            elif kind == _EV_IMU:
-                pending_imu = payload
-            else:
-                if last_corr_ns is None:
-                    dt_c = obs_nominal_dt
-                else:
-                    dt_c = (t_ns - last_corr_ns) / NS_PER_S
-                dt_c = min(dt_c, max_correction_dt)
-                state = correct(state, lmap, payload, gains, dt_c)
-                last_corr_ns = t_ns
-
-        if row is None and truth:
-            continue
-        k = len(t_col)
-        t_col.append(t_ns)
-        truth_rows.append(row)
+    for k, t_ns in enumerate(stamps):
+        if k and held[k - 1] >= 0:
+            j = held[k - 1]
+            state = predict(state, imu.omega[j], imu.accel[j],
+                            (t_ns - stamps[k - 1]) / NS_PER_S)
+        if k == first:
+            true_nav = NavState(t_rot[0], truth.pos[0], truth.vel[0])
+            initial = error_metrics(true_nav, state, g_true)
+            warn_if_unstable(true_nav.r @ state.nav.r.T)
+        epoch = epochs.get(t_ns)
+        if epoch is not None:
+            dt_c = obs_nominal_dt if last_corr_ns is None else (t_ns - last_corr_ns) / NS_PER_S
+            state = correct(state, lmap, epoch, gains, min(dt_c, max_correction_dt))
+            last_corr_ns = t_ns
         rot[k], p_col[k], v_col[k] = state.nav.r, state.nav.p, state.nav.v
         sigma_col[k], g_col[k] = state.sigma_hat, state.g_hat
         if state.quat is not None:
             quat[k] = state.quat
 
-    k = len(t_col)
-    rot, quat, p_col, v_col, sigma_col, g_col = (
-        a[:k] for a in (rot, quat, p_col, v_col, sigma_col, g_col))
-    i = np.array(truth_rows)
-    errors = (_error_norms(t_rot[i], t_pos[i], t_vel[i], rot, p_col, v_col, g_col,
-                           g_true) if truth else (None,) * 4)
-    return RunResult(np.array(t_col), *errors,
+    errors = (None,) * 4
+    if truth is not None:
+        keep = np.isin(instants, truth.t_ns)
+        rot, quat, p_col, v_col, sigma_col, g_col = (
+            a[keep] for a in (rot, quat, p_col, v_col, sigma_col, g_col))
+        errors = _error_norms(t_rot, truth.pos, truth.vel, rot, p_col, v_col, g_col,
+                              g_true)
+        if not np.isfinite(np.concatenate([*errors, astuple(initial)])).all():
+            raise NonFiniteState("an error norm against truth is not finite")
+    return RunResult(instants if truth is None else truth.t_ns, *errors,
                      quat=quat if state.quat is not None else rot_to_quat(rot),
                      p_est=p_col, v_est=v_col, sigma=sigma_col, g_hat=g_col,
                      initial=initial, final_state=state)
@@ -485,9 +496,9 @@ def time_grid(duration: float, rate: float) -> np.ndarray:
 
 
 def build_streams(scn: Scenario):
-    """Synthesize the truth, inertial and landmark-epoch streams of a scenario
-    from one evaluation of its trajectory on the inertial grid.  Noise, unless
-    silent, is drawn for all rates, then all forces, then epoch by epoch."""
+    """Synthesize the truth and inertial columns and the landmark epochs of a
+    scenario from one evaluation of its trajectory on the inertial grid.  Noise,
+    unless silent, is drawn for all rates, then all forces, then epoch by epoch."""
     every = round(scn.imu_rate / scn.obs_rate)
     if every < 1:
         raise ValueError("landmark epochs cannot outpace inertial samples")
@@ -504,14 +515,11 @@ def build_streams(scn: Scenario):
         omegas = omegas + rng_imu.normal(size=omegas.shape) * scn.noise.std_omega
         sf = sf + rng_imu.normal(size=sf.shape) * scn.noise.std_accel
     quats = rot_to_quat(rots)
-    stamps = t_ns.tolist()
-    truth = [TruthSample(*row) for row in zip(stamps, quats, pos, vel)]
-    imu = [ImuSample(*row) for row in zip(stamps, omegas, sf)]
-    observations = [(s.t_ns, synthesize_observation(NavState(r, s.pos, s.vel), scn.lmap,
-                                                    noise_std=scn.noise.std_obs,
-                                                    rng=rng_obs))
-                    for s, r in zip(truth[::every], quat_to_rot(quats[::every]))]
-    return truth, imu, observations
+    observations = [(t, synthesize_observation(NavState(r, p, v), scn.lmap,
+                                               noise_std=scn.noise.std_obs, rng=rng_obs))
+                    for t, r, p, v in zip(t_ns[::every].tolist(), quat_to_rot(quats[::every]),
+                                          pos[::every], vel[::every])]
+    return TruthStream(t_ns, quats, pos, vel), ImuStream(t_ns, omegas, sf), observations
 
 
 def _engine_kwargs(scn: Scenario, gravity_mode: str,

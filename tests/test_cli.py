@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from se23nav.cli import main
 from se23nav.dataio import (load_estimates_csv, load_metrics_csv, parse_config)
@@ -166,6 +173,15 @@ def test_corrupt_and_missing_inputs_exit_4(tmp_path, capsys):
 
     assert main(["replay", "--out-dir", str(tmp_path / "nowhere")]) == 4
 
+    # a time stamp past the int64 clock is malformed data, not a longer run
+    assert main(["simulate", "--config", str(conf), "--out-dir", str(out)]) == 0
+    lines = imu.read_text().splitlines()
+    lines[-1] = str(2 ** 70) + lines[-1][lines[-1].index(","):]
+    imu.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", "--out-dir", str(out)]) == 4
+    assert f"imu.csv:{len(lines)}: integer '{2 ** 70}'" in capsys.readouterr().err
+
 
 def test_degenerate_maps_exit_3(tmp_path, capsys):
     (tmp_path / "map2.csv").write_text(TWO_LANDMARKS)
@@ -253,6 +269,54 @@ def test_kernel_overflow_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(conf), "--out-dir", str(out)]) == 3
     assert "error: observer state left the finite range" in capsys.readouterr().err
+    # the engine runs before anything is written, so a failed run records nothing
+    assert list(out.glob("*")) == []
+
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """A recorded 0.2 s run with reading noise: every input file is present."""
+    base = tmp_path_factory.mktemp("recorded")
+    conf = write_conf(base / "run.conf", duration="0.2", noise_std_obs="0.02", seed="2")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(conf), "--out-dir", str(base / "run")]) == 0
+    return base / "run"
+
+
+_HOSTILE = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "", " ", "x",
+                     "1.5.2", "0x10", "-0.0", "1e-320", str(2 ** 63 - 1), str(-2 ** 63),
+                     str(2 ** 63), str(-2 ** 63 - 1), str(2 ** 64), str(2 ** 70)]),
+    st.floats().map(repr),
+    st.integers(-2 ** 64, 2 ** 64).map(str))
+
+
+@pytest.mark.parametrize("name", ["imu.csv", "truth.csv", "obs.csv", "map.csv"])
+@given(truncate=st.none() | st.floats(0.0, 1.0),
+       edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 20), _HOSTILE),
+                      min_size=1, max_size=3))
+def test_replay_of_hostile_csv_never_raises(recorded_run, name, truncate, edits):
+    """Edits 1-3 fields of one recorded file, or truncates it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        shutil.copytree(recorded_run, out)
+        path = out / name
+        text = path.read_text()
+        if truncate is not None:
+            text = text[:round(truncate * len(text))]
+        else:
+            lines = [line.split(",") for line in text.splitlines()]
+            for line, field, value in edits:  # the header stays: it would mask the rest
+                fields = lines[1 + line % (len(lines) - 1)]
+                fields[field % len(fields)] = value
+            text = "\n".join(",".join(f) for f in lines) + "\n"
+        path.write_text(text)
+        sink = io.StringIO()
+        with (contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink),
+              warnings.catch_warnings(), np.errstate(all="ignore")):
+            warnings.simplefilter("ignore")
+            code = main(["replay", "--out-dir", str(out)])
+    assert code in (0, 2, 3, 4), sink.getvalue()
 
 
 def test_console_entry_point_smoke():

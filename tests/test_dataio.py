@@ -23,17 +23,17 @@ from se23nav.dataio import (BOTH_GRAVITY, ESTIMATES_HEADER, METRICS_HEADER,
                             load_truth_csv, parse_config, write_config,
                             write_estimates_csv, write_imu_csv, write_map_csv,
                             write_metrics_csv, write_obs_csv, write_truth_csv)
-from se23nav.simulator import (ImuSample, RunResult, TruthSample,
+from se23nav.simulator import (ImuStream, RunResult, TruthStream,
                                default_landmark_map, default_scenario)
 
 AWKWARD = [math.pi, 1.0 / 3.0, -2.5e-7, 9.81, -1.0, 0.0]
 
 
 def _imu_stream():
-    return [ImuSample(5_000_000 * k,
-                      np.array([math.sin(k), 1.0 / (k + 3), -k * 0.1]),
-                      np.array([k * 0.01, math.sqrt(k + 1), AWKWARD[k % 6]]))
-            for k in range(7)]
+    k = np.arange(7)
+    return ImuStream(5_000_000 * k,
+                     np.column_stack([np.sin(k), 1.0 / (k + 3), -k * 0.1]),
+                     np.column_stack([k * 0.01, np.sqrt(k + 1), np.resize(AWKWARD, 7)]))
 
 
 def test_imu_roundtrip_is_byte_exact(tmp_path):
@@ -43,24 +43,25 @@ def test_imu_roundtrip_is_byte_exact(tmp_path):
     loaded = load_imu_csv(a)
     write_imu_csv(b, loaded)
     assert a.read_bytes() == b.read_bytes()
-    for s, l in zip(stream, loaded):
-        assert s.t_ns == l.t_ns
-        assert np.array_equal(s.omega, l.omega)
-        assert np.array_equal(s.accel, l.accel)
+    assert loaded.t_ns.dtype == np.int64
+    for name in ("t_ns", "omega", "accel"):
+        assert np.array_equal(getattr(stream, name), getattr(loaded, name))
 
 
 def test_truth_roundtrip_is_byte_exact(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    stream = [TruthSample(10_000_000 * k,
-                          np.array([1.0, 0.0, math.sin(k * 0.1), 0.25]),
-                          np.array([k * 0.5, -k, 2.0]),
-                          np.array([0.1, AWKWARD[k % 6], -0.3]))
-              for k in range(5)]
+    k = np.arange(5)
+    stream = TruthStream(10_000_000 * k,
+                         np.column_stack([np.ones(5), np.zeros(5), np.sin(k * 0.1),
+                                          np.full(5, 0.25)]),
+                         np.column_stack([k * 0.5, -k, np.full(5, 2.0)]),
+                         np.column_stack([np.full(5, 0.1), AWKWARD[:5], np.full(5, -0.3)]))
     write_truth_csv(a, stream)
     loaded = load_truth_csv(a)
     write_truth_csv(b, loaded)
     assert a.read_bytes() == b.read_bytes()
-    assert all(np.array_equal(s.quat, l.quat) for s, l in zip(stream, loaded))
+    for name in ("t_ns", "quat", "pos", "vel"):
+        assert np.array_equal(getattr(stream, name), getattr(loaded, name))
 
 
 def test_map_roundtrip_and_validation(tmp_path):
@@ -199,6 +200,24 @@ def test_parse_errors_carry_path_and_line(tmp_path):
     with pytest.raises(EmptyStream):
         load_imu_csv(p)
 
+    # time stamps and landmark ids are signed 64-bit integers
+    row = "1,2,3,4,5,6"
+    for text, load, line in (
+            (f"t_ns,wx,wy,wz,ax,ay,az\n0,{row}\n{2 ** 70},{row}\n", load_imu_csv, 3),
+            (f"t_ns,wx,wy,wz,ax,ay,az\n{2 ** 63},{row}\n", load_imu_csv, 2),
+            (f"t_ns,wx,wy,wz,ax,ay,az\n{-2 ** 63 - 1},{row}\n", load_imu_csv, 2),
+            (f"{TRUTH_HEADER}\n{2 ** 63},1,0,0,0,0,0,0,0,0,0\n", load_truth_csv, 2),
+            (f"id,px,py,pz,s\n0,0,0,0,1\n{2 ** 70},0,0,0,1\n", load_map_csv, 3),
+            (f"t_ns,id,yx,yy,yz\n0,{2 ** 70},0,0,0\n", load_obs_csv, 2),
+            (f"t_ns,id,yx,yy,yz\n{2 ** 63},0,0,0,0\n", load_obs_csv, 2)):
+        p.write_text(text)
+        with pytest.raises(ParseError) as ei:
+            load(p)
+        assert str(ei.value).startswith(f"{p}:{line}: integer ")
+        assert "outside the signed 64-bit range" in str(ei.value)
+    p.write_text(f"t_ns,wx,wy,wz,ax,ay,az\n{-2 ** 63},{row}\n{2 ** 63 - 1},{row}\n")
+    assert load_imu_csv(p).t_ns.tolist() == [-2 ** 63, 2 ** 63 - 1]
+
     # one epoch reads each landmark at most once
     p.write_text("t_ns,id,yx,yy,yz\n0,0,0,0,0\n0,1,0,0,0\n0,0,0,0,0\n"
                  "0,2,0,0,0\n")
@@ -250,22 +269,30 @@ def test_parse_errors_carry_path_and_line(tmp_path):
 
 
 def test_align_event_ordering():
-    imu = _imu_stream()[:3]
-    truth = [TruthSample(s.t_ns, np.array([1.0, 0, 0, 0]), np.zeros(3),
-                         np.zeros(3)) for s in imu]
-    obs = [(0, LandmarkObservation(np.arange(3), np.zeros((3, 3))))]
-    events = align(imu, obs, truth)
-    at_zero = [kind for t, kind, _ in events if t == 0]
-    assert at_zero == [0, 1, 2]
-    assert [t for t, _, _ in events] == sorted(t for t, _, _ in events)
+    imu = _imu_stream()
+    truth = TruthStream(imu.t_ns[1:4] + 1, np.tile([1.0, 0, 0, 0], (3, 1)),
+                        np.zeros((3, 3)), np.zeros((3, 3)))
+    o = LandmarkObservation(np.arange(3), np.zeros((3, 3)))
+    obs = [(0, o), (7_500_000, o)]
+    instants, held, epochs = align(imu, obs, truth)
+    # the distinct instants of all three streams, in time order
+    assert instants.dtype == np.int64
+    assert instants.tolist() == sorted({*imu.t_ns.tolist(), *truth.t_ns.tolist(), 0,
+                                        7_500_000})
+    # the inertial sample held at each instant is the last at or before it
+    assert held.tolist() == [np.flatnonzero(imu.t_ns <= t)[-1] for t in instants]
+    assert epochs == {0: o, 7_500_000: o}
     # truth is optional
-    assert len(align(imu, obs)) == len(imu) + 1
+    assert len(align(imu, obs)[0]) == len(imu) + 1
     with pytest.raises(EmptyStream) as ei:
-        align([], obs)
+        align(ImuStream(imu.t_ns[:0], imu.omega[:0], imu.accel[:0]), obs)
     assert "inertial stream is empty" in str(ei.value)
     with pytest.raises(EmptyStream) as ei:
         align(imu, [])
     assert "cannot correct" in str(ei.value)
+    # epochs are looked up by time, so their times strictly increase
+    with pytest.raises(ValueError):
+        align(imu, [(0, o), (0, o)])
 
 
 def test_load_landmarks_cross_validation(tmp_path):

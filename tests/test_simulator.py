@@ -12,8 +12,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
-                     QUATERNION, InitError, NoiseSpec, ObserverState,
-                     TrajectorySpec, UnstableSetWarning, apply_init_error,
+                     QUATERNION, ImuStream, InitError, NoiseSpec, NonFiniteState,
+                     ObserverState, TrajectorySpec, UnstableSetWarning, apply_init_error,
                      build_streams, correct, default_landmark_map,
                      default_scenario, hover_scenario, nav_error, predict,
                      rodrigues_exp, run_closed_loop, run_scenario,
@@ -285,7 +285,7 @@ def test_run_without_ground_truth():
     scn = dataclasses.replace(default_scenario(), duration=0.5)
     truth, imu, observations = build_streams(scn)
     init = apply_init_error(truth[0].nav(), scn.init_error)
-    result = run_closed_loop([], imu, observations, scn.lmap, scn.gains, init,
+    result = run_closed_loop(None, imu, observations, scn.lmap, scn.gains, init,
                              obs_nominal_dt=1.0 / scn.obs_rate)
     assert result.initial is None
     # one unscored row per processed instant
@@ -303,7 +303,21 @@ def test_run_without_ground_truth():
     s = summarize(result)
     assert s["samples"] == len(result.rows) and "g_hat" in s
     with pytest.raises(ValueError):
-        run_closed_loop([], [], [], scn.lmap, scn.gains, init)
+        run_closed_loop(None, ImuStream(imu.t_ns[:0], imu.omega[:0], imu.accel[:0]), [],
+                        scn.lmap, scn.gains, init)
+
+
+def test_engine_rejects_non_increasing_epochs_and_non_finite_errors():
+    scn = dataclasses.replace(default_scenario(), duration=0.2)
+    truth, imu, observations = build_streams(scn)
+    init = apply_init_error(truth[0].nav(), scn.init_error)
+    with pytest.raises(ValueError):
+        run_closed_loop(truth, imu, observations[:1] * 2, scn.lmap, scn.gains, init)
+    # finite truth whose errors overflow: no record the CSV reader would reject
+    for column in ("pos", "vel"):
+        far = dataclasses.replace(truth, **{column: getattr(truth, column) + 1e155})
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
+            run_closed_loop(far, imu, observations, scn.lmap, scn.gains, init)
 
 
 def test_summarize_fields():
