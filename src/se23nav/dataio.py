@@ -34,11 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .measurement import InsufficientLandmarks, LandmarkMap, LandmarkObservation
-from .observer import (ADAPTIVE_GRAVITY, KNOWN_GRAVITY, MATRIX,
-                       REPRESENTATIONS, Gains)
-from .simulator import (NS_PER_S, ImuStream, InitError, NoiseSpec, RunResult,
-                        Scenario, TrajectorySpec, TruthStream, default_scenario,
-                        merge_events)
+from .observer import ADAPTIVE_GRAVITY, KNOWN_GRAVITY, REPRESENTATIONS
+from .simulator import (NS_PER_S, ImuStream, RunResult, RunSpec, Scenario,
+                        TruthStream, merge_events)
 
 IMU_HEADER = "t_ns,wx,wy,wz,ax,ay,az"
 TRUTH_HEADER = "t_ns,qw,qx,qy,qz,px,py,pz,vx,vy,vz"
@@ -315,25 +313,13 @@ def load_landmarks(map_path, obs_path):
 
 GRAVITY_MODES = (KNOWN_GRAVITY, ADAPTIVE_GRAVITY, BOTH_GRAVITY)
 
-_REF = default_scenario()
 
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(RunSpec):
+    """A run as its configuration file states it: the run-level values, whose
+    gravity mode may also be ``both``, and the landmark map's file (empty for
+    the reference map)."""
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-level values and the scenario's own specs; the defaults are the
-    reference experiment, :func:`~se23nav.simulator.default_scenario`."""
-
-    duration: float = _REF.duration
-    imu_rate: float = _REF.imu_rate
-    obs_rate: float = _REF.obs_rate
-    gravity_mode: str = _REF.gravity_mode
-    representation: str = MATRIX
-    max_correction_dt: float = _REF.max_correction_dt
-    noise: NoiseSpec = _REF.noise
-    gains: Gains = _REF.gains
-    g_ref: tuple = _REF.g_ref
-    init_error: InitError = _REF.init_error
-    trajectory: TrajectorySpec = _REF.trajectory
     map_file: str = ""
 
     def modes(self) -> tuple:
@@ -444,6 +430,8 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.obs_rate > cfg.imu_rate:
         bad("landmark epochs cannot outpace inertial samples")
     ratio = cfg.imu_rate / cfg.obs_rate
+    if not math.isfinite(ratio):
+        bad("imu_rate, obs_rate: the rate ratio is not finite")
     if abs(ratio - round(ratio)) > 1e-9:
         bad("the landmark epoch rate must divide the inertial rate")
     samples = cfg.duration * cfg.imu_rate  # the grid holds round(samples) + 1
@@ -488,11 +476,8 @@ def config_to_scenario(cfg: RunConfig, lmap: LandmarkMap,
     mode = gravity_mode if gravity_mode is not None else cfg.gravity_mode
     if mode == BOTH_GRAVITY:
         raise ValidationError("a single run needs a concrete gravity mode")
-    return Scenario(trajectory=cfg.trajectory, lmap=lmap, gains=cfg.gains,
-                    init_error=cfg.init_error, duration=cfg.duration,
-                    imu_rate=cfg.imu_rate, obs_rate=cfg.obs_rate,
-                    gravity_mode=mode, g_ref=cfg.g_ref, noise=cfg.noise,
-                    max_correction_dt=cfg.max_correction_dt)
+    return Scenario(**{f.name: getattr(cfg, f.name) for f in fields(RunSpec)}
+                    | {"gravity_mode": mode}, lmap=lmap)
 
 
 def config_override(cfg: RunConfig, **values) -> RunConfig:

@@ -303,8 +303,10 @@ class InitError:
     vel: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if np.linalg.norm(np.asarray(self.axis, dtype=float)) == 0.0:
-            raise ValueError("init error axis must be nonzero")
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            norm = np.linalg.norm(np.asarray(self.axis, dtype=float))
+        if not 0.0 < norm < math.inf:
+            raise ValueError("init error axis must have a finite, nonzero length")
 
     def as_nav(self) -> NavState:
         ax = np.asarray(self.axis, dtype=float)
@@ -417,6 +419,8 @@ def run_closed_loop(truth: TruthStream | None,
     instant has been processed.  Raises :class:`NonFiniteState` when an
     error norm is not finite.
     """
+    if truth is not None and not len(truth):
+        raise ValueError("ground truth is empty; pass truth=None for a run without truth")
     state = ObserverState.create(init_estimate, gravity_mode=gravity_mode,
                                  g_ref=g_ref, representation=representation)
     instants, held, epochs = merge_events(truth, imu, observations)
@@ -471,21 +475,30 @@ def run_closed_loop(truth: TruthStream | None,
 # ---------------------------------------------------------------------------
 # scenarios
 
-@dataclass(frozen=True)
-class Scenario:
-    """Complete description of a closed-loop experiment."""
+@dataclass(frozen=True, kw_only=True)
+class RunSpec:
+    """An experiment's run-level values, in the order a run configuration lists
+    them; the defaults are the reference experiment's, noise-free."""
 
-    trajectory: TrajectorySpec
-    lmap: LandmarkMap
-    gains: Gains = Gains()
-    init_error: InitError = InitError()
     duration: float = 40.0
     imu_rate: float = 200.0
     obs_rate: float = 20.0
     gravity_mode: str = KNOWN_GRAVITY
-    g_ref: tuple = (0.0, 0.0, -9.81)
-    noise: NoiseSpec = NoiseSpec()
+    representation: str = MATRIX
     max_correction_dt: float = DEFAULT_MAX_CORRECTION_DT
+    noise: NoiseSpec = NoiseSpec()
+    gains: Gains = Gains()
+    g_ref: tuple = (0.0, 0.0, -9.81)
+    init_error: InitError = InitError(angle=2.9670597283903604,  # 170 degrees
+                                      axis=(1.0, 1.0, 1.0), pos=(3.0, -2.0, 1.0))
+    trajectory: TrajectorySpec = TrajectorySpec()
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario(RunSpec):
+    """Complete description of a closed-loop experiment: a run over a map."""
+
+    lmap: LandmarkMap
 
 
 def time_grid(duration: float, rate: float) -> np.ndarray:
@@ -522,18 +535,17 @@ def build_streams(scn: Scenario):
     return TruthStream(t_ns, quats, pos, vel), ImuStream(t_ns, omegas, sf), observations
 
 
-def _engine_kwargs(scn: Scenario, gravity_mode: str,
-                   representation: str = MATRIX) -> dict:
+def _engine_kwargs(scn: Scenario) -> dict:
     """Keyword arguments of :func:`run_closed_loop` for one run of ``scn``."""
     return dict(
-        gravity_mode=gravity_mode,
+        gravity_mode=scn.gravity_mode,
         g_ref=np.asarray(scn.g_ref, dtype=float),
-        representation=representation,
+        representation=scn.representation,
         obs_nominal_dt=1.0 / scn.obs_rate,
         max_correction_dt=scn.max_correction_dt)
 
 
-def run_scenario(scn: Scenario, representation: str = MATRIX):
+def run_scenario(scn: Scenario):
     """Build a scenario's streams and run the engine over them.
 
     Returns (truth, imu, observations, result).
@@ -542,7 +554,7 @@ def run_scenario(scn: Scenario, representation: str = MATRIX):
     init_nav = apply_init_error(truth[0].nav(), scn.init_error)
     result = run_closed_loop(
         truth, imu, observations, scn.lmap, scn.gains, init_nav,
-        **_engine_kwargs(scn, scn.gravity_mode, representation))
+        **_engine_kwargs(scn))
     return truth, imu, observations, result
 
 
@@ -605,17 +617,8 @@ def default_scenario(gravity_mode: str = KNOWN_GRAVITY,
     """Reference experiment: slow spatial figure over six landmarks, large
     initial attitude error (170 degrees), known or adaptive gravity."""
     noise = NoiseSpec(std_omega=0.12, std_accel=0.11, seed=seed) if noisy else NoiseSpec()
-    return Scenario(
-        trajectory=TrajectorySpec(),
-        lmap=default_landmark_map(),
-        gains=Gains(),
-        init_error=InitError(angle=2.9670597283903604,
-                             axis=(1.0, 1.0, 1.0),
-                             pos=(3.0, -2.0, 1.0)),
-        duration=duration,
-        gravity_mode=gravity_mode,
-        noise=noise,
-    )
+    return Scenario(lmap=default_landmark_map(), duration=duration,
+                    gravity_mode=gravity_mode, noise=noise)
 
 
 def hover_scenario(duration: float = 40.0) -> Scenario:

@@ -249,8 +249,8 @@ def test_acceptance_adaptive_gravity():
 
 def test_acceptance_representation_equivalence():
     scn = default_scenario(noisy=True, seed=0)
-    *_, rm = run_scenario(scn, representation="matrix")
-    *_, rq = run_scenario(scn, representation="quaternion")
+    *_, rm = run_scenario(dataclasses.replace(scn, representation="matrix"))
+    *_, rq = run_scenario(dataclasses.replace(scn, representation="quaternion"))
     assert len(rm.rows) == len(rq.rows) == 8001
     att = pos = vel = 0.0
     for a, b in zip(rm.rows, rq.rows):

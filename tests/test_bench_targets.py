@@ -88,3 +88,27 @@ def test_stream_contract_rejects_malformed_columns():
             nav.ImuStream(bad_t, omega, cols)
     with pytest.raises(ValueError):
         nav.TruthStream(t, np.zeros((2, 4)), cols, cols)
+
+
+def test_scenario_as_the_benchmark_builds_it():
+    """``bench/workloads.py::streaming_scenario`` passes exactly these keywords
+    and takes the rest from the defaults."""
+    ref = nav.default_scenario()
+    scn = nav.Scenario(trajectory=ref.trajectory, lmap=ref.lmap, gains=ref.gains,
+                       init_error=ref.init_error, duration=1.0, imu_rate=200.0,
+                       obs_rate=50.0, gravity_mode=nav.ADAPTIVE_GRAVITY,
+                       noise=nav.NoiseSpec(std_obs=0.02, seed=3))
+    assert scn.g_ref == tuple(nav.GRAVITY_ENU.tolist())
+    assert scn.max_correction_dt == 0.1
+    assert scn.representation == nav.MATRIX
+    # the defaults are the reference experiment's, field for field
+    bare = nav.Scenario(lmap=nav.default_landmark_map())
+    for f in dataclasses.fields(nav.Scenario):
+        a, b = getattr(bare, f.name), getattr(ref, f.name)
+        if f.name == "lmap":
+            assert all(np.array_equal(getattr(a, k), getattr(b, k))
+                       for k in ("ids", "positions", "weights"))
+        else:
+            assert a == b, f.name
+    with pytest.raises(TypeError):  # a positional call cannot bind to a moved field
+        nav.Scenario(ref.trajectory, ref.lmap)

@@ -17,7 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from se23nav.cli import main
-from se23nav.dataio import (load_estimates_csv, load_metrics_csv, parse_config)
+from se23nav.dataio import (_CONFIG_KEYS, load_estimates_csv, load_metrics_csv,
+                            parse_config)
 
 TWO_LANDMARKS = "id,px,py,pz,s\n1,0.0,0.0,0.0,1.0\n2,1.0,0.0,0.0,1.0\n"
 COLLINEAR = ("id,px,py,pz,s\n"
@@ -152,6 +153,12 @@ def test_bad_configuration_exits_2(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "run2")]) == 2
     assert "expected key=value" in capsys.readouterr().err
 
+    # the rate ratio overflows although both rates are positive and finite
+    conf3 = write_conf(tmp_path / "ratio.conf", imu_rate="20.0", obs_rate="5e-324")
+    assert main(["simulate", "--config", str(conf3),
+                 "--out-dir", str(tmp_path / "run3")]) == 2
+    assert "imu_rate, obs_rate" in capsys.readouterr().err
+
 
 def test_corrupt_and_missing_inputs_exit_4(tmp_path, capsys):
     conf = write_conf(tmp_path / "run.conf")
@@ -264,13 +271,25 @@ def test_oversized_time_grid_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _main_without_runtime_warnings(argv) -> int:
+    """``main(argv)``, requiring that it let numpy print no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code
+
+
 def test_kernel_overflow_exits_3(tmp_path, capsys):
-    conf = write_conf(tmp_path / "run.conf", amplitude="1e160,1.5,0.8")
-    out = tmp_path / "run"
-    assert main(["simulate", "--config", str(conf), "--out-dir", str(out)]) == 3
-    assert "error: observer state left the finite range" in capsys.readouterr().err
-    # the engine runs before anything is written, so a failed run records nothing
-    assert list(out.glob("*")) == []
+    for key, value in (("amplitude", "1e160,1.5,0.8"), ("center", "1e308,0,0"),
+                       ("noise_std_obs", "1e308")):
+        conf = write_conf(tmp_path / f"{key}.conf", **{key: value})
+        out = tmp_path / key
+        argv = ["simulate", "--config", str(conf), "--out-dir", str(out)]
+        assert _main_without_runtime_warnings(argv) == 3, key
+        assert "error: observer state left the finite range" in capsys.readouterr().err
+        # the engine runs before anything is written, so a failed run records nothing
+        assert list(out.glob("*")) == []
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +300,18 @@ def recorded_run(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["simulate", "--config", str(conf), "--out-dir", str(base / "run")]) == 0
     return base / "run"
+
+
+def test_overflowing_truth_replay_exits_3(recorded_run, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(recorded_run, out)
+    lines = (out / "truth.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[5] = "1e300"  # px: the position error squares past the float range
+    lines[3] = ",".join(fields)
+    (out / "truth.csv").write_text("\n".join(lines) + "\n")
+    assert _main_without_runtime_warnings(["replay", "--out-dir", str(out)]) == 3
+    assert "error: an error norm against truth is not finite" in capsys.readouterr().err
 
 
 _HOSTILE = st.one_of(
@@ -316,6 +347,35 @@ def test_replay_of_hostile_csv_never_raises(recorded_run, name, truncate, edits)
               warnings.catch_warnings(), np.errstate(all="ignore")):
             warnings.simplefilter("ignore")
             code = main(["replay", "--out-dir", str(out)])
+    assert code in (0, 2, 3, 4), sink.getvalue()
+
+
+# Sizes come only from these values: the sample cap, the one-sample floor and
+# the int64 clock then reject every grid too large to build.
+_EXTREMES = ["0", "-0.0", "5e-324", "-5e-324", "1e-308", "-1e-308", "1e308", "-1e308",
+             "1e200", "1e-200"]
+_CONFIG_VALUE = st.one_of(
+    st.sampled_from(_EXTREMES),
+    st.lists(st.sampled_from(_EXTREMES), min_size=3, max_size=3).map(",".join),
+    st.integers(2 ** 31, 2 ** 256).map(str),
+    st.sampled_from(["", "x", "1,2", "1;2;3", "0x10", "1e", "--1", "known", "both",
+                     "quaternion", "waypoints", "hover", "0,1", "0,0,0;1,1,1"]))
+_CONFIG_EDIT = st.sampled_from(list(_CONFIG_KEYS)).flatmap(lambda key: st.tuples(
+    st.just(key),
+    st.sampled_from(_EXTREMES) if key in ("duration", "imu_rate", "obs_rate")
+    else _CONFIG_VALUE))
+
+
+@given(edits=st.lists(_CONFIG_EDIT, min_size=1, max_size=3, unique_by=lambda e: e[0]))
+def test_simulate_of_hostile_config_never_raises(edits):
+    """Sets 1-3 keys of a 0.2 s, 20 Hz / 10 Hz configuration."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = {"duration": "0.2", "imu_rate": "20.0", "obs_rate": "10.0"}
+        conf = write_conf(Path(tmp) / "run.conf", **(base | dict(edits)))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = _main_without_runtime_warnings(
+                ["simulate", "--config", str(conf), "--out-dir", str(Path(tmp) / "run")])
     assert code in (0, 2, 3, 4), sink.getvalue()
 
 

@@ -459,6 +459,8 @@ def test_config_validation_rules(tmp_path):
         ("noise_std_obs=-0.1", "nonnegative"),
         ("k_sigma=0.0", "strictly positive"),
         ("init_axis=0.0,0.0,0.0", "init_axis"),
+        ("init_axis=1e200,1e200,0", "init_axis: init error axis must have a finite"),
+        ("obs_rate=5e-324", "imu_rate, obs_rate"),
         ("trajectory=spiral", "unknown trajectory"),
         ("seed=-1", "seed"),
         ("duration=1e12", "duration, imu_rate"),

@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 
 from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
                      QUATERNION, ImuStream, InitError, NoiseSpec, NonFiniteState,
-                     ObserverState, TrajectorySpec, UnstableSetWarning, apply_init_error,
-                     build_streams, correct, default_landmark_map,
+                     ObserverState, TrajectorySpec, TruthStream, UnstableSetWarning,
+                     apply_init_error, build_streams, correct, default_landmark_map,
                      default_scenario, hover_scenario, nav_error, predict,
                      rodrigues_exp, run_closed_loop, run_scenario,
                      so3_distance, summarize)
@@ -230,7 +230,8 @@ def _check_manual_event_replay(representation, gravity_mode):
     # every truth instant is scored with the per-row error formula
     scn = dataclasses.replace(default_scenario(gravity_mode, noisy=True, seed=9),
                               duration=1.0, imu_rate=50.0, obs_rate=10.0)
-    truth, imu, observations, result = run_scenario(scn, representation)
+    truth, imu, observations, result = run_scenario(
+        dataclasses.replace(scn, representation=representation))
     g_ref = np.asarray(scn.g_ref, dtype=float)
 
     st = ObserverState.create(apply_init_error(truth[0].nav(), scn.init_error),
@@ -313,6 +314,9 @@ def test_engine_rejects_non_increasing_epochs_and_non_finite_errors():
     init = apply_init_error(truth[0].nav(), scn.init_error)
     with pytest.raises(ValueError):
         run_closed_loop(truth, imu, observations[:1] * 2, scn.lmap, scn.gains, init)
+    empty = TruthStream(truth.t_ns[:0], truth.quat[:0], truth.pos[:0], truth.vel[:0])
+    with pytest.raises(ValueError, match="truth=None"):
+        run_closed_loop(empty, imu, observations, scn.lmap, scn.gains, init)
     # finite truth whose errors overflow: no record the CSV reader would reject
     for column in ("pos", "vel"):
         far = dataclasses.replace(truth, **{column: getattr(truth, column) + 1e155})
@@ -352,7 +356,16 @@ def test_engine_warns_on_half_turn_initialization():
         run_scenario(hover_scenario(duration=0.5))
 
 
+def test_init_error_axis_needs_a_finite_nonzero_length():
+    for axis in ((0.0, 0.0, 0.0), (1e200, 1e200, 0.0), (math.inf, 0.0, 0.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the length overflows without a warning
+            with pytest.raises(ValueError, match="finite, nonzero length"):
+                InitError(axis=axis)
+    assert InitError(axis=(1e150, 1e150, 0.0)).as_nav().r.shape == (3, 3)
+
+
 def test_unknown_representation_rejected():
     scn = hover_scenario(duration=0.2)
     with pytest.raises(ValueError):
-        run_scenario(scn, representation="euler")
+        run_scenario(dataclasses.replace(scn, representation="euler"))
