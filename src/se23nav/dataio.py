@@ -115,14 +115,23 @@ def _parse_float(path, lineno: int, s: str) -> float:
     return v
 
 
-def _records(path, header: str):
-    """Yield ``(lineno, fields)`` for every non-blank line after the exact
-    ``header``; each record has as many fields as the header."""
+def _lines_after(path, header: str) -> list:
+    """The lines of a file whose first line is exactly ``header``, header
+    included."""
     lines = _read_lines(path)
     if not lines:
         raise ParseError(path, 1, f"file is empty, expected header {header!r}")
     if lines[0] != header:
         raise ParseError(path, 1, f"bad header {lines[0]!r}, expected {header!r}")
+    return lines
+
+
+def _records(path, header: str, lines=None):
+    """Yield ``(lineno, fields)`` for every non-blank line after the exact
+    ``header``; each record has as many fields as the header.  ``lines``
+    are the file's lines when already read."""
+    if lines is None:
+        lines = _lines_after(path, header)
     n = header.count(",") + 1
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -133,12 +142,37 @@ def _records(path, header: str):
         yield lineno, parts
 
 
+def _value_fields(lines, n: int):
+    """Every field after the first of the non-blank ``lines``; raises
+    ``ValueError`` at a line without ``n`` fields."""
+    for line in lines:
+        if line:
+            f = line.split(",")
+            if len(f) != n:
+                raise ValueError(line)
+            yield from f[1:]
+
+
 def _timed_records(path, header: str, what: str):
     """The times (an int64 array) and the numbers (an ``(n, k)`` array) of a
     time-stamped stream: int64 time that strictly increases, then finite
     numbers.  Raises :class:`EmptyStream` when there are no records."""
+    lines = _lines_after(path, header)
+    # whole columns first, through the same int() and float(); the row loop
+    # below runs only when they fail, and words the error
+    k = header.count(",")
+    rows = sum(1 for line in lines[1:] if line)
+    try:
+        times = np.fromiter(map(int, (line.partition(",")[0] for line in lines[1:] if line)),
+                            np.int64, rows)
+        values = np.fromiter(map(float, _value_fields(lines[1:], k + 1)),
+                             float, rows * k).reshape(rows, k)
+        if rows and (times[1:] > times[:-1]).all() and np.isfinite(values).all():
+            return times, values
+    except (ValueError, OverflowError):
+        pass
     times, values = [], array("d")  # packed doubles: a list of lists costs 4x
-    for lineno, f in _records(path, header):
+    for lineno, f in _records(path, header, lines):
         t = _parse_int64(path, lineno, f[0])
         if times and t <= times[-1]:
             raise NonMonotonicTime(path, lineno,

@@ -17,6 +17,17 @@ product round the same either way, and a norm is
 ``math.sqrt(float(x.dot(x)))``, the expression ``np.linalg.norm`` evaluates.
 Sines and cosines stay ``np.sin`` and ``np.cos``.  The rewrite therefore
 keeps every output bit of the numpy formulas it replaced.
+
+Kernels that also come in a batched form (``_so3_gammas_rows`` here,
+``quaternion._quat_from_rotvec_rows``) give every row the bits the one-row
+kernel gives it, under these rules: products are stacked ``@`` on C-ordered
+operands, so each slice is the same BLAS call as one product; norms are
+``np.sqrt(np.vecdot(x, x))``, which calls the same dot as ``x.dot(x)``, and
+never ``np.einsum``; sines and cosines are ``np.sin`` and ``np.cos`` on
+arrays; a branch is taken per row with ``np.where`` over both branches'
+elementwise terms, which round as the floats do; and a Python float power
+(``theta ** 3``) is evaluated per element, since numpy's array power rounds
+differently.
 """
 
 from __future__ import annotations
@@ -158,6 +169,46 @@ def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (_skew_quadratic(1.0, c0, c1, wl, s2),
             _skew_quadratic(1.0, c1, c2, wl, s2),
             _skew_quadratic(0.5, c2, c3, wl, s2))
+
+
+def _cube(t: float) -> float:
+    """``t ** 3``, NaN where the power overflows."""
+    try:
+        return t ** 3
+    except OverflowError:
+        return math.nan
+
+
+def _so3_gammas_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`so3_gammas` of every row of a ``(..., 3)`` array: three
+    ``(..., 3, 3)`` stacks, each row bit for bit the one-row result.
+
+    A row on which the one-row kernel raises ``OverflowError`` (its
+    ``theta ** 3`` overflows) gets NaN ``G1`` and ``G2``.
+    """
+    w = np.asarray(w, dtype=float)
+    x, y, z = np.moveaxis(w, -1, 0)
+    with np.errstate(all="ignore"):  # both branches are evaluated on every row
+        theta = np.sqrt(np.vecdot(w, w))
+        o = np.zeros_like(theta)
+        s = np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(theta.shape + (3, 3))
+        s2 = np.moveaxis(s @ s, (-2, -1), (0, 1))
+        t3 = np.array([_cube(t) for t in theta.ravel().tolist()]).reshape(theta.shape)
+        t2 = theta * theta
+        small = theta < SMALL_ANGLE
+        half = np.sin(0.5 * theta)
+        c0 = np.where(small, 1.0 - t2 / 6.0, np.sin(theta) / theta)
+        c1 = np.where(small, 0.5 - t2 / 24.0, 2.0 * half * half / t2)
+        series = theta < _SERIES_ANGLE
+        c2 = np.where(series, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+                      - t2 * t2 * t2 / 362880.0, (theta - np.sin(theta)) / t3)
+        c3 = np.where(series, 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0
+                      - t2 * t2 * t2 / 3628800.0,
+                      (0.5 * theta * theta + np.cos(theta) - 1.0) / (t3 * theta))
+        # (3, 3, ...) entries to C-ordered (..., 3, 3) stacks
+        return tuple(np.ascontiguousarray(np.moveaxis(
+            _skew_quadratic(d, ca, cb, (x, y, z), s2), (0, 1), (-2, -1)))
+            for d, ca, cb in ((1.0, c0, c1), (1.0, c1, c2), (0.5, c2, c3)))
 
 
 def rodrigues_exp(omega: np.ndarray) -> np.ndarray:

@@ -68,9 +68,51 @@ class LandmarkMap:
         order = np.argsort(ids)
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_sorted_ids", ids[order])
+        # aggregate's terms of the last observed id set (see _observed)
+        object.__setattr__(self, "_memo", (None, None))
+
+    def _arrays(self) -> tuple:
+        return self.ids, self.positions, self.weights
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LandmarkMap):
+            return NotImplemented
+        return all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                   for a, b in zip(self._arrays(), other._arrays()))
+
+    def __hash__(self) -> int:
+        return hash(tuple((a.dtype.str, a.shape, a.tobytes()) for a in self._arrays()))
 
     def __len__(self) -> int:
         return int(self.ids.size)
+
+    def _observed(self, ids: np.ndarray) -> tuple:
+        """The terms of :func:`aggregate` that depend only on the survey and
+        the observed ``ids``: their weights as a column, the total weight,
+        the centroid, the weighted offsets ``sd``, the scatter and its trace.
+
+        The terms of the last id set are kept, keyed by its bytes; like
+        ``_sorted_ids`` this relies on the survey's arrays never changing.
+        The arrays returned are read-only, since summaries share them.
+        """
+        key = ids.tobytes()
+        if self._memo[0] == key:
+            return self._memo[1]
+        idx = self.index_of(ids)
+        p = self.positions[idx]
+        w = self.weights[idx]
+        s_t = float(w.sum())
+        s = w[:, None]
+        centroid = (s * p).sum(axis=0) / s_t
+        d = p - centroid
+        sd = s * d
+        scatter = sd.T @ d
+        terms = (s, s_t, centroid, sd, scatter, float(np.trace(scatter)))
+        for a in terms:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        object.__setattr__(self, "_memo", (key, terms))
+        return terms
 
     def index_of(self, ids: np.ndarray) -> np.ndarray:
         """Row indices of the given ids; raises UnknownLandmarkId naming the
@@ -172,21 +214,13 @@ def aggregate(lmap: LandmarkMap, obs: LandmarkObservation,
     if len(obs.ids) < 3:
         raise InsufficientLandmarks(
             "an epoch needs at least 3 readings of non-collinear landmarks")
-    idx = lmap.index_of(obs.ids)
-    p = lmap.positions[idx]
-    s = lmap.weights[idx]
+    s, s_t, centroid, sd, scatter, trace = lmap._observed(obs.ids)
     y = obs.points
-
-    s_t = float(s.sum())
-    centroid = (s[:, None] * p).sum(axis=0) / s_t
-    d = p - centroid
-    sd = s[:, None] * d
-    scatter = sd.T @ d
     scatter_err = (sd.T @ y) @ rhat.T
     # weighted mean of p_i - rhat y_i - phat
-    y_mean = (s[:, None] * y).sum(axis=0) / s_t
+    y_mean = (s * y).sum(axis=0) / s_t
     pos_innovation = centroid - rhat @ y_mean - phat
-    att_dist = max(0.0, 0.25 * (float(np.trace(scatter)) - float(np.trace(scatter_err))))
+    att_dist = max(0.0, 0.25 * (trace - float(np.trace(scatter_err))))
     return MeasurementSummary(centroid=centroid, total_weight=s_t,
                               scatter=scatter, scatter_err=scatter_err,
                               pos_innovation=pos_innovation, att_dist=att_dist)

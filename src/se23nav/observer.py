@@ -17,6 +17,14 @@ elapsed since the previous correction.
 The attitude is kept as a rotation matrix or as a unit quaternion, chosen at
 :meth:`ObserverState.create`; both run the same update law.
 
+The propagation law lives in one function, ``_advance``.  It steps a flat
+state (attitude arrays, position, velocity and gravity as float lists) with
+inputs that depend on nothing else: ``G0``, ``[G1 a; G2 a]`` and, for a
+quaternion, ``exp(omega dt)``.  :func:`predict` computes them for one sample
+and wraps the result in an :class:`ObserverState`; the closed-loop engine
+computes them for many samples at once (``_motion_rows``) and keeps the flat
+state between epochs.
+
 The per-sample arithmetic is written in plain floats under the rule stated
 in :mod:`se23nav.liegroup`: elementwise terms in floats, every matrix
 product in numpy.
@@ -31,11 +39,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .liegroup import (NavState, _cross, orthonormalize_rows, so3_gammas,
-                       vex_antisym)
+from .liegroup import (NavState, _cross, _so3_gammas_rows, orthonormalize_rows,
+                       so3_gammas, vex_antisym)
 from .measurement import LandmarkMap, LandmarkObservation, MeasurementSummary, aggregate
-from .quaternion import (quat_from_rotvec, quat_normalize, quat_product,
-                         quat_to_rot, rot_to_quat)
+from .quaternion import (_quat_from_rotvec_rows, _turn_right, quat_from_rotvec,
+                         quat_normalize, quat_product, quat_to_rot, rot_to_quat)
 
 # Local "east, north, up" world frame: gravity points down the third axis.
 GRAVITY_ENU = np.array([0.0, 0.0, -9.81])
@@ -232,9 +240,8 @@ def _check_finite(*arrays: np.ndarray) -> None:
 def _turn(r: np.ndarray, quat: np.ndarray | None, rotvec: np.ndarray,
           g0: np.ndarray, *, left: bool, steps: int | None = None):
     """Turn an attitude by ``exp(rotvec)``, whose matrix is ``g0``, from the
-    left or the right.
+    left or the right, as :func:`correct` and :func:`step` do.
 
-    This is the only code that depends on how the attitude is stored.
     Returns the turned rotation matrix, the turned unit quaternion (``None``
     for a matrix attitude) and, after a left turn, the matrix that rotates
     position and velocity along with the attitude (``None`` after a right
@@ -248,8 +255,11 @@ def _turn(r: np.ndarray, quat: np.ndarray | None, rotvec: np.ndarray,
             r_new = orthonormalize_rows(r_new)
         return r_new, None, g0 if left else None
     dq = quat_from_rotvec(rotvec)
-    q_new = quat_normalize(quat_product(dq, quat) if left else quat_product(quat, dq))
-    return quat_to_rot(q_new), q_new, quat_to_rot(dq) if left else None
+    if not left:
+        q_new, r_new = _turn_right(quat, dq)
+        return r_new, q_new, None
+    q_new = quat_normalize(quat_product(dq, quat))
+    return quat_to_rot(q_new), q_new, quat_to_rot(dq)
 
 
 def _innovate(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
@@ -284,6 +294,52 @@ def _gammas(rotvec: np.ndarray):
         raise NonFiniteState("observer state left the finite range") from None
 
 
+def _advance(r: np.ndarray, p: list, v: list, g: list, quat: np.ndarray | None,
+             steps: int, g0: np.ndarray, g12a: np.ndarray, dq: np.ndarray | None,
+             dt: float) -> tuple[np.ndarray, list, list, np.ndarray | None]:
+    """The propagation law: one inertial step of a flat state.
+
+    ``r`` is the attitude matrix and ``quat`` its unit quaternion (``None``
+    for a matrix attitude); ``p``, ``v`` and the gravity estimate ``g`` are
+    float lists.  The inputs enter only through ``g0 = G0``, the rows
+    ``g12a = [G1 a; G2 a]`` and, for a quaternion, ``dq = exp(omega dt)``,
+    where ``G0, G1, G2`` are the :func:`so3_gammas` of ``omega dt``.
+    ``steps`` is the step count this step completes; a matrix attitude is
+    re-orthonormalized when it is a multiple of :data:`REORTHO_EVERY`.
+    Returns the new ``(r, p, v, quat)``; raises :class:`NonFiniteState` when
+    an entry leaves the finite range.
+    """
+    # r G1 a, then r G2 a: one stacked product, a matrix-vector one per row
+    x = (r @ g12a[..., None]).ravel().tolist()
+    dt2 = dt * dt
+    p_new = [pi + vi * dt + xi * dt2 + 0.5 * gi * dt2
+             for pi, vi, xi, gi in zip(p, v, x[3:], g)]
+    v_new = [vi + xi * dt + gi * dt for vi, xi, gi in zip(v, x, g)]
+    if quat is None:
+        r_new = r @ g0
+        if steps % REORTHO_EVERY == 0:
+            r_new = orthonormalize_rows(r_new)
+    else:
+        quat, r_new = _turn_right(quat, dq)
+    if not all(map(math.isfinite, r_new.ravel().tolist() + p_new + v_new)):
+        raise NonFiniteState("observer state left the finite range")
+    return r_new, p_new, v_new, quat
+
+
+def _motion_rows(omega: np.ndarray, a: np.ndarray, dt: list, quaternion: bool):
+    """The inputs of :func:`_advance` for ``n`` steps of ``dt`` seconds under
+    ``(n, 3)`` rates ``omega`` and specific forces ``a``: ``G0`` as
+    ``(n, 3, 3)``, ``[G1 a; G2 a]`` as ``(n, 2, 3)`` and ``dq`` as ``(n, 4)``
+    (``None`` unless ``quaternion``); each row has the bits :func:`predict`
+    computes.  A row that leaves the finite range raises in :func:`_advance`,
+    at its own step, so nothing warns here."""
+    with np.errstate(all="ignore"):
+        rotvec = omega * np.array(dt)[:, None]
+        g0, g1, g2 = _so3_gammas_rows(rotvec)
+        g12a = (np.stack([g1, g2], axis=1) @ a[:, None, :, None])[..., 0]
+        return g0, g12a, _quat_from_rotvec_rows(rotvec) if quaternion else None
+
+
 def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
             dt: float) -> ObserverState:
     """Propagate one inertial sample, including the current gravity estimate.
@@ -292,22 +348,17 @@ def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
     motion inputs act from the right, the gravity estimate from the left, so
     with exact inputs a zero-error state stays at zero error.
     """
-    r = state.nav.r
     rotvec = np.asarray(omega_m, dtype=float) * dt
     g0, g1, g2 = _gammas(rotvec)
-    p_m, v_m = _flow(r, state.nav.p, state.nav.v, np.asarray(a_m, dtype=float),
-                     g1, g2, dt)
-    g = state.g_hat.tolist()
-    dt2 = dt * dt
-    p_new = np.array([p_m[i] + 0.5 * g[i] * dt2 for i in range(3)])
-    v_new = np.array([v_m[i] + g[i] * dt for i in range(3)])
+    a = np.asarray(a_m, dtype=float)
+    dq = None if state.quat is None else quat_from_rotvec(rotvec)
     steps = state.steps + 1
-    r_new, q_new, _ = _turn(r, state.quat, rotvec, g0, left=False, steps=steps)
-    _check_finite(r_new, p_new, v_new)
-    return ObserverState(nav=NavState(r_new, p_new, v_new),
+    r, p, v, quat = _advance(state.nav.r, state.nav.p.tolist(), state.nav.v.tolist(),
+                             state.g_hat.tolist(), state.quat, steps, g0,
+                             np.array([g1 @ a, g2 @ a]), dq, dt)
+    return ObserverState(nav=NavState(r, np.array(p), np.array(v)),
                          sigma_hat=state.sigma_hat, g_hat=state.g_hat,
-                         gravity_mode=state.gravity_mode, steps=steps,
-                         quat=q_new)
+                         gravity_mode=state.gravity_mode, steps=steps, quat=quat)
 
 
 def correct(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,

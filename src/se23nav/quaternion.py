@@ -6,7 +6,8 @@ homomorphism: ``quat_to_rot(quat_product(a, b)) == quat_to_rot(a) @ quat_to_rot(
 The per-sample functions compute in plain floats under the rule stated in
 :mod:`se23nav.liegroup`; ``rot_to_quat`` and the stacked ``quat_to_rot``
 apply the same elementwise formulas to whole arrays, so each row rounds as
-it would alone.
+it would alone, and so does ``_quat_from_rotvec_rows``.  ``_turn_right``
+is the right turn of the propagation law in one pass.
 """
 
 from __future__ import annotations
@@ -63,18 +64,43 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
         w, x, y, z = q.tolist()
     if bad:
         raise NonUnitQuaternion("quaternion norm deviates from 1 beyond tolerance")
+    m = _rot_entries(w, x, y, z, vv)
+    if q.ndim == 1:
+        return np.array(m)
+    # C-ordered like the one-row result, so products with it round the same
+    return np.stack([np.stack(row, axis=-1) for row in m], axis=-2)
+
+
+def _rot_entries(w, x, y, z, vv) -> list:
+    """The rotation matrix of ``[w, x, y, z]`` as nested rows, given ``vv``,
+    the dot product of the vector part with itself."""
     # (w^2 - v.v) I + 2 v v^T + 2 w skew(v), summed in that order per entry;
     # the zero entries of I and skew(v) are added too, for signed zeros
     d = w * w - vv
     o = d * 0.0
     tw = 2.0 * w
-    m = [[d + 2.0 * (x * x) + tw * 0.0, o + 2.0 * (x * y) + tw * -z, o + 2.0 * (x * z) + tw * y],
-         [o + 2.0 * (y * x) + tw * z, d + 2.0 * (y * y) + tw * 0.0, o + 2.0 * (y * z) + tw * -x],
-         [o + 2.0 * (z * x) + tw * -y, o + 2.0 * (z * y) + tw * x, d + 2.0 * (z * z) + tw * 0.0]]
-    if q.ndim == 1:
-        return np.array(m)
-    # C-ordered like the one-row result, so products with it round the same
-    return np.stack([np.stack(row, axis=-1) for row in m], axis=-2)
+    return [[d + 2.0 * (x * x) + tw * 0.0, o + 2.0 * (x * y) + tw * -z, o + 2.0 * (x * z) + tw * y],
+            [o + 2.0 * (y * x) + tw * z, d + 2.0 * (y * y) + tw * 0.0, o + 2.0 * (y * z) + tw * -x],
+            [o + 2.0 * (z * x) + tw * -y, o + 2.0 * (z * y) + tw * x, d + 2.0 * (z * z) + tw * 0.0]]
+
+
+def _turn_right(q: np.ndarray, dq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``quat_normalize(quat_product(q, dq))`` and its :func:`quat_to_rot`
+    matrix, in one pass that keeps both functions' checks and roundings."""
+    # ``.dot`` calls the same BLAS dot as ``@``, with less overhead
+    dot = float(q[1:].dot(dq[1:]))
+    w1, *v1 = q.tolist()
+    w2, *v2 = dq.tolist()
+    c = _cross(v1, v2)
+    prod = np.array([w1 * w2 - dot] + [w1 * b + w2 * a + ab
+                                       for a, b, ab in zip(v1, v2, c)])
+    n = _norm(prod)
+    if n == 0.0:
+        raise NonUnitQuaternion("cannot normalize the zero quaternion")
+    q = np.array([x / n for x in prod.tolist()])
+    if abs(_norm(q) - 1.0) > TOL_UNIT:
+        raise NonUnitQuaternion("quaternion norm deviates from 1 beyond tolerance")
+    return q, np.array(_rot_entries(*q.tolist(), float(q[1:].dot(q[1:]))))
 
 
 # The terms of each branch of rot_to_quat: 0 is s / 4, 1 to 6 are the
@@ -122,3 +148,19 @@ def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     s = float(np.sin(half))
     return np.array([float(np.cos(half)),
                      s * (x / theta), s * (y / theta), s * (z / theta)])
+
+
+def _quat_from_rotvec_rows(v: np.ndarray) -> np.ndarray:
+    """:func:`quat_from_rotvec` of every row of a ``(..., 3)`` array, each row
+    bit for bit the one-row result (see :mod:`se23nav.liegroup` for the rules)."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = np.moveaxis(v, -1, 0)
+    with np.errstate(all="ignore"):  # both branches are evaluated on every row
+        theta = np.sqrt(np.vecdot(v, v))
+        near = np.stack([np.ones_like(theta), 0.5 * x, 0.5 * y, 0.5 * z], axis=-1)
+        near = near / np.sqrt(np.vecdot(near, near))[..., None]
+        half = 0.5 * theta
+        s = np.sin(half)
+        far = np.stack([np.cos(half), s * (x / theta), s * (y / theta), s * (z / theta)],
+                       axis=-1)
+    return np.where((theta < 1e-8)[..., None], near, far)

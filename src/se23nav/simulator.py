@@ -11,7 +11,10 @@ The engine consumes three time-stamped streams (truth and inertial columns,
 landmark epochs) merged on an integer-nanosecond clock and records one row
 per instant where truth is available.  Simulation and replay drive the same
 engine with the same float values, which is what makes replay reproduce a
-recorded run bit for bit.
+recorded run bit for bit.  The engine propagates with the law of
+``observer.predict`` (``observer._advance``) on a flat state, its input-only
+terms computed a block of steps at a time, so it matches a loop over the
+public ``predict`` and ``correct`` bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +27,20 @@ import numpy as np
 
 from .liegroup import NavState, rodrigues_exp
 from .measurement import LandmarkMap, LandmarkObservation, synthesize_observation
+# The engine runs ``_advance``, the law of ``predict``, on a flat state.
+# ``predict`` stays imported all the same: ``bench/test_bench.py`` checks that
+# the tracer rebinds ``simulator.predict`` along with ``observer.predict``.
 from .observer import (GRAVITY_ENU, KNOWN_GRAVITY, MATRIX, Gains, Metrics,
-                       NonFiniteState, ObserverState, _error_norms, correct,
-                       error_metrics, predict, warn_if_unstable)
+                       NonFiniteState, ObserverState, _advance, _error_norms,
+                       _motion_rows, correct, error_metrics, predict,
+                       warn_if_unstable)
 from .quaternion import quat_to_rot, rot_to_quat
 
 NS_PER_S = 1_000_000_000
+
+# The engine computes the input-only terms of this many steps at a time, so
+# their memory does not grow with the length of a run.
+_BLOCK = 1024
 
 # Corrections for one epoch never account for more than this many seconds,
 # even when the previous epoch is older (gappy logs).
@@ -430,44 +441,68 @@ def run_closed_loop(truth: TruthStream | None,
     g_true = np.asarray(g_ref, dtype=float)
     t_rot = None if truth is None else quat_to_rot(truth.quat)
     first = -1 if truth is None else int(np.searchsorted(instants, truth.t_ns[0]))
-    # the estimate at every instant, scored after the loop
+    # the estimate at every instant, scored after the loop; the attitude as
+    # kept (a quaternion's matrix is its quat_to_rot)
     n = instants.size
-    rot, quat = np.empty((n, 3, 3)), np.empty((n, 4))
+    r, quat, steps = state.nav.r, state.quat, state.steps
+    att = np.empty((n, 3, 3) if quat is None else (n, 4))
     p_col, v_col, sigma_col, g_col = (np.empty((n, 3)) for _ in range(4))
     stamps, held = instants.tolist(), held.tolist()
     last_corr_ns: int | None = None
     initial: Metrics | None = None
+    # the flat state between epochs: ObserverState is built only to correct,
+    # to score the first truth instant and to return the final state
+    p, v, g = state.nav.p.tolist(), state.nav.v.tolist(), state.g_hat.tolist()
+    block_end = 0
+
+    def observer_state() -> ObserverState:
+        return ObserverState(nav=NavState(r, np.array(p), np.array(v)),
+                             sigma_hat=state.sigma_hat, g_hat=state.g_hat,
+                             gravity_mode=gravity_mode, steps=steps, quat=quat)
 
     for k, t_ns in enumerate(stamps):
         if k and held[k - 1] >= 0:
-            j = held[k - 1]
-            state = predict(state, imu.omega[j], imu.accel[j],
-                            (t_ns - stamps[k - 1]) / NS_PER_S)
+            if k >= block_end:
+                # the input-only half of the next steps, a block at a time
+                block_start, block_end = k, min(k + _BLOCK, n)
+                dts = [(stamps[i] - stamps[i - 1]) / NS_PER_S
+                       for i in range(block_start, block_end)]
+                rows = np.maximum(held[block_start - 1:block_end - 1], 0)
+                g0s, g12as, dqs = _motion_rows(imu.omega[rows], imu.accel[rows], dts,
+                                               quat is not None)
+            i = k - block_start
+            steps += 1
+            r, p, v, quat = _advance(r, p, v, g, quat, steps, g0s[i], g12as[i],
+                                     None if dqs is None else dqs[i], dts[i])
         if k == first:
+            state = observer_state()
             true_nav = NavState(t_rot[0], truth.pos[0], truth.vel[0])
             initial = error_metrics(true_nav, state, g_true)
             warn_if_unstable(true_nav.r @ state.nav.r.T)
         epoch = epochs.get(t_ns)
         if epoch is not None:
             dt_c = obs_nominal_dt if last_corr_ns is None else (t_ns - last_corr_ns) / NS_PER_S
-            state = correct(state, lmap, epoch, gains, min(dt_c, max_correction_dt))
+            state = correct(observer_state(), lmap, epoch, gains,
+                            min(dt_c, max_correction_dt))
+            r, quat = state.nav.r, state.quat
+            p, v, g = state.nav.p.tolist(), state.nav.v.tolist(), state.g_hat.tolist()
             last_corr_ns = t_ns
-        rot[k], p_col[k], v_col[k] = state.nav.r, state.nav.p, state.nav.v
+        att[k], p_col[k], v_col[k] = r if quat is None else quat, p, v
         sigma_col[k], g_col[k] = state.sigma_hat, state.g_hat
-        if state.quat is not None:
-            quat[k] = state.quat
 
+    state = observer_state()
     errors = (None,) * 4
     if truth is not None:
         keep = np.isin(instants, truth.t_ns)
-        rot, quat, p_col, v_col, sigma_col, g_col = (
-            a[keep] for a in (rot, quat, p_col, v_col, sigma_col, g_col))
+        att, p_col, v_col, sigma_col, g_col = (
+            a[keep] for a in (att, p_col, v_col, sigma_col, g_col))
+        rot = att if quat is None else quat_to_rot(att)
         errors = _error_norms(t_rot, truth.pos, truth.vel, rot, p_col, v_col, g_col,
                               g_true)
         if not np.isfinite(np.concatenate([*errors, astuple(initial)])).all():
             raise NonFiniteState("an error norm against truth is not finite")
     return RunResult(instants if truth is None else truth.t_ns, *errors,
-                     quat=quat if state.quat is not None else rot_to_quat(rot),
+                     quat=rot_to_quat(att) if quat is None else att,
                      p_est=p_col, v_est=v_col, sigma=sigma_col, g_hat=g_col,
                      initial=initial, final_state=state)
 

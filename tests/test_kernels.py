@@ -20,12 +20,12 @@ from se23nav import (ADAPTIVE_GRAVITY, Gains, NavState, ObserverState,
                      compute_corrections, error_metrics, gravity_step,
                      sigma_step)
 from se23nav.liegroup import (SMALL_ANGLE, _SERIES_ANGLE, _cross, _norm,
-                              nav_error, orthonormalize_rows, skew, so3_distance,
-                              so3_gammas, vex_antisym)
+                              _so3_gammas_rows, nav_error, orthonormalize_rows,
+                              skew, so3_distance, so3_gammas, vex_antisym)
 from se23nav.observer import _error_norms
 from se23nav.measurement import MeasurementSummary
-from se23nav.quaternion import (quat_from_rotvec, quat_normalize, quat_product,
-                                quat_to_rot, rot_to_quat)
+from se23nav.quaternion import (_quat_from_rotvec_rows, _turn_right, quat_from_rotvec,
+                                quat_normalize, quat_product, quat_to_rot, rot_to_quat)
 from se23nav.simulator import NS_PER_S, TrajectorySpec, time_grid, trajectory_attitude
 
 # one coordinate: zero, or a magnitude in [1e-8, 1e3] of either sign
@@ -426,3 +426,70 @@ def test_rot_to_quat_stacked_over_every_branch_and_nan():
         for m, w in zip(ms, want):
             assert same_bits(w, ref_rot_to_quat(m))
     assert np.isnan(want[-5:]).all()
+
+
+# ---------------------------------------------------------------------------
+# batched kernels: every row has the bits of the one-row kernel
+
+# the series switches, each with angles just below and above it
+_SWITCH_ANGLES = tuple(float(a) for a in (
+    0.5 * SMALL_ANGLE, np.nextafter(SMALL_ANGLE, 0.0), SMALL_ANGLE,
+    np.nextafter(SMALL_ANGLE, 1.0), 2.0 * SMALL_ANGLE,
+    0.5 * _SERIES_ANGLE, np.nextafter(_SERIES_ANGLE, 0.0), _SERIES_ANGLE,
+    np.nextafter(_SERIES_ANGLE, 1.0), 2.0 * _SERIES_ANGLE))
+# rows of six coordinates, signed zeros included; a kernel reads three columns
+_table = arrays(float, st.tuples(st.integers(2, 8), st.just(6)),
+                elements=st.one_of(_coord, st.just(-0.0)))
+
+
+def check_rows_match(rows):
+    gammas = _so3_gammas_rows(rows)
+    quats = _quat_from_rotvec_rows(rows)
+    assert quats.shape == rows.shape[:-1] + (4,)
+    for k in np.ndindex(rows.shape[:-1]):
+        for got, want in zip(gammas, so3_gammas(rows[k])):
+            assert got.shape == rows.shape[:-1] + (3, 3)
+            assert same_bits(got[k], want)
+        assert same_bits(quats[k], quat_from_rotvec(rows[k]))
+
+
+@given(_table, st.lists(st.one_of(st.none(), st.sampled_from(_SWITCH_ANGLES)),
+                        min_size=8, max_size=8), st.integers(0, 3))
+def test_batched_kernels_match_the_one_row_kernels(table, angles, column):
+    # columns of a wider table, as the inertial reader returns them: a
+    # strided view that is not C-ordered
+    rows = table[:, column:column + 3]
+    for k in range(len(rows)):
+        norm = np.linalg.norm(rows[k])
+        if angles[k] is not None and norm > 0.0:
+            rows[k] = rows[k] / norm * angles[k]
+    assert not rows.flags.c_contiguous
+    check_rows_match(rows)
+    check_rows_match(np.asfortranarray(rows))
+    check_rows_match(rows[::-1].reshape(1, -1, 3))
+
+
+def test_batched_kernels_at_the_series_switches_and_signed_zeros():
+    angles = [0.0, 1e-12, *_SWITCH_ANGLES, 1.0, np.pi, 2.0 * np.pi]
+    rows = [a * s * axis for a in angles for s in (1.0, -1.0) for axis in _AXES]
+    rows += [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]]
+    check_rows_match(np.array(rows))
+
+
+def test_batched_gammas_mark_an_overflowing_row():
+    rows = np.array([[1e103, 0.0, 0.0], [0.1, 0.2, 0.3]])
+    with pytest.raises(OverflowError):
+        so3_gammas(rows[0])
+    g0, g1, g2 = _so3_gammas_rows(rows)
+    assert np.isnan(g1[0]).all() and np.isnan(g2[0]).all()
+    check_rows_match(rows[1:])
+
+
+@given(vec4, vec3)
+def test_right_turn_is_product_normalize_and_matrix(q, w):
+    q = unit(q)
+    dq = quat_from_rotvec(w)
+    q_new, r_new = _turn_right(q, dq)
+    want = quat_normalize(quat_product(q, dq))
+    assert same_bits(q_new, want)
+    assert same_bits(r_new, quat_to_rot(want))

@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from conftest import random_rotation
 
 from se23nav import (InsufficientLandmarks, LandmarkMap, LandmarkObservation,
-                     NavState, UnknownLandmarkId, aggregate, check_configuration,
+                     NavState, Scenario, UnknownLandmarkId, aggregate,
+                     check_configuration, default_landmark_map, default_scenario,
                      rodrigues_exp, synthesize_observation)
 from se23nav.measurement import sym3_eigvals
 
@@ -50,6 +51,49 @@ def test_aggregate_matches_hand_loops():
     assert_allclose(out.scatter_err, scatter_err, atol=1e-12)
     assert_allclose(out.pos_innovation, pos_innovation, atol=1e-12)
     assert abs(out.att_dist - att_dist) < 1e-12
+
+
+def test_aggregate_keeps_its_bits_across_id_sets():
+    # the survey-side terms of the last id set are kept; every summary must
+    # have the bits of one computed on a fresh survey, whatever came before
+    rng = np.random.default_rng(32)
+    lmap = _random_map(rng, n=12)
+    x, xh = _random_nav(rng), _random_nav(rng)
+    full = synthesize_observation(x, lmap, noise_std=0.1, rng=rng)
+    subset = LandmarkObservation(ids=full.ids[[7, 2, 9, 4]], points=full.points[[7, 2, 9, 4]])
+    unknown = LandmarkObservation(ids=np.array([1, 2, 99]), points=np.zeros((3, 3)))
+
+    def fields(summary):
+        return [np.asarray(getattr(summary, f)).tobytes() for f in
+                ("centroid", "total_weight", "scatter", "scatter_err",
+                 "pos_innovation", "att_dist")]
+
+    fresh = {id(o): fields(aggregate(_random_map(np.random.default_rng(32), n=12), o,
+                                     xh.r, xh.p))
+             for o in (full, subset)}
+    for obs in (full, full, subset, full, subset, subset):
+        assert fields(aggregate(lmap, obs, xh.r, xh.p)) == fresh[id(obs)]
+        with pytest.raises(UnknownLandmarkId):
+            aggregate(lmap, unknown, xh.r, xh.p)
+    # summaries share the kept arrays, so those are read-only
+    with pytest.raises(ValueError):
+        aggregate(lmap, full, xh.r, xh.p).scatter[0, 0] = 0.0
+
+
+def test_landmark_maps_compare_and_hash_by_value():
+    bare, ref = Scenario(lmap=default_landmark_map()), default_scenario()
+    assert bare == ref and hash(bare) == hash(ref)
+    lmap = default_landmark_map()
+    aggregate(lmap, synthesize_observation(NavState.identity(), lmap),
+              np.eye(3), np.zeros(3))  # fills the kept terms, which do not count
+    assert lmap == ref.lmap and hash(lmap) == hash(ref.lmap)
+    weights = lmap.weights.copy()
+    weights[3] = np.nextafter(weights[3], 1.0)
+    changed = LandmarkMap(ids=lmap.ids, positions=lmap.positions, weights=weights)
+    assert changed != lmap and hash(changed) != hash(lmap)
+    assert lmap != LandmarkMap(ids=lmap.ids[::-1], positions=lmap.positions[::-1],
+                               weights=lmap.weights[::-1])
+    assert lmap != "map" and len({lmap, ref.lmap, changed}) == 2
 
 
 def test_noise_free_error_identities():

@@ -15,10 +15,12 @@ from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
                      QUATERNION, ImuStream, InitError, NoiseSpec, NonFiniteState,
                      ObserverState, TrajectorySpec, TruthStream, UnstableSetWarning,
                      apply_init_error, build_streams, correct, default_landmark_map,
-                     default_scenario, hover_scenario, nav_error, predict,
+                     default_scenario, error_metrics, hover_scenario, nav_error, predict,
                      rodrigues_exp, run_closed_loop, run_scenario,
                      so3_distance, summarize)
+from se23nav import simulator
 from se23nav.liegroup import _norm
+from se23nav.observer import REORTHO_EVERY
 from se23nav.quaternion import rot_to_quat
 from se23nav.simulator import (TrajectoryError, time_grid, trajectory_attitude,
                                trajectory_pose)
@@ -270,6 +272,70 @@ def _check_manual_event_replay(representation, gravity_mode):
     for a, b in ((fs.nav.r, st.nav.r), (fs.nav.p, st.nav.p), (fs.nav.v, st.nav.v),
                  (fs.sigma_hat, st.sigma_hat), (fs.g_hat, st.g_hat)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_engine_matches_public_predict_and_correct_over_long_schedules():
+    # more steps than the engine computes inputs for at once and than the
+    # re-orthonormalization period, with steps of 2**53 + 1 and 2**53 + 3 ns:
+    # int / int divides them exactly rounded, numpy rounds the integer to a
+    # double first, which moves the second step's dt by one ulp
+    for representation in (MATRIX, QUATERNION):
+        _check_public_loop(representation)
+
+
+def _check_public_loop(representation):
+    scn = dataclasses.replace(default_scenario(ADAPTIVE_GRAVITY, noisy=True, seed=4),
+                              duration=6.5, representation=representation)
+    truth, imu, observations = build_streams(scn)
+    n = len(imu)
+    assert n - 1 > max(simulator._BLOCK, REORTHO_EVERY)
+    assert (2 ** 53 + 3) / NS != float(2 ** 53 + 3) / NS
+    # the steps that end at samples 700 and 1100 last 2**53 + 1 and 2**53 + 3 ns
+    step_ns = int(imu.t_ns[1] - imu.t_ns[0])
+    t_ns = (imu.t_ns + np.where(np.arange(n) >= 700, 2 ** 53 + 1 - step_ns, 0)
+            + np.where(np.arange(n) >= 1100, 2 ** 53 + 3 - step_ns, 0))
+    at = dict(zip(imu.t_ns.tolist(), t_ns.tolist()))
+    truth = TruthStream(t_ns, truth.quat, truth.pos, truth.vel)
+    imu = ImuStream(t_ns, imu.omega, imu.accel)
+    observations = [(at[t], o) for t, o in observations]
+    g_ref = np.asarray(scn.g_ref, dtype=float)
+    init = apply_init_error(truth[0].nav(), scn.init_error)
+    result = run_closed_loop(truth, imu, observations, scn.lmap, scn.gains, init,
+                             gravity_mode=scn.gravity_mode, g_ref=g_ref,
+                             representation=representation,
+                             obs_nominal_dt=1.0 / scn.obs_rate)
+
+    st = ObserverState.create(init, gravity_mode=scn.gravity_mode, g_ref=g_ref,
+                              representation=representation)
+    obs_at = dict(observations)
+    stamps = t_ns.tolist()
+    last_corr = None
+    rows = []
+    for k, t in enumerate(stamps):
+        if k:
+            st = predict(st, imu.omega[k - 1], imu.accel[k - 1], (t - stamps[k - 1]) / NS)
+        if t in obs_at:
+            dt_c = 1.0 / scn.obs_rate if last_corr is None else (t - last_corr) / NS
+            st = correct(st, scn.lmap, obs_at[t], scn.gains,
+                         min(dt_c, scn.max_correction_dt))
+            last_corr = t
+        m = error_metrics(truth[k].nav(), st, g_ref)
+        quat = rot_to_quat(st.nav.r) if st.quat is None else st.quat
+        rows.append([m.att, m.pos, m.vel, m.grav, *quat, *st.nav.p, *st.nav.v,
+                     *st.sigma_hat, *st.g_hat])
+
+    assert result.t_ns.tolist() == stamps
+    got = np.column_stack([result.att, result.pos, result.vel, result.grav,
+                           result.quat, result.p_est, result.v_est,
+                           result.sigma, result.g_hat])
+    assert got.tobytes() == np.array(rows).tobytes()
+    fs = result.final_state
+    assert fs.steps == st.steps == n - 1
+    assert (fs.quat is None) == (st.quat is None)
+    for a, b in ((fs.nav.r, st.nav.r), (fs.nav.p, st.nav.p), (fs.nav.v, st.nav.v),
+                 (fs.sigma_hat, st.sigma_hat), (fs.g_hat, st.g_hat),
+                 (fs.quat, st.quat)):
+        assert a is None or a.tobytes() == b.tobytes()
 
 
 def test_initial_metrics_are_pre_correction():
