@@ -29,11 +29,13 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .measurement import InsufficientLandmarks, LandmarkMap, LandmarkObservation
+from .measurement import (InsufficientLandmarks, LandmarkMap, LandmarkObservation,
+                          check_configuration)
 from .observer import ADAPTIVE_GRAVITY, KNOWN_GRAVITY, REPRESENTATIONS
 from .simulator import (NS_PER_S, ImuStream, RunResult, RunSpec, Scenario,
                         TruthStream, merge_events)
@@ -142,15 +144,29 @@ def _records(path, header: str, lines=None):
         yield lineno, parts
 
 
-def _value_fields(lines, n: int):
-    """Every field after the first of the non-blank ``lines``; raises
-    ``ValueError`` at a line without ``n`` fields."""
-    for line in lines:
-        if line:
+def _columns(lines, header: str, ints: int):
+    """The records after the ``header`` line as whole columns: the first
+    ``ints`` fields of every non-blank line through ``int`` as an int64
+    array of that many columns, the others through ``float``.  Raises
+    ``ValueError`` or ``OverflowError`` when a field does not convert or a
+    line has another number of fields than the header.
+
+    Each loader tries this first and checks the columns; only when they fail
+    does it run its row loop, the code that words the error."""
+    body = [line for line in lines[1:] if line]
+    n = header.count(",") + 1
+
+    def values():
+        for line in body:
             f = line.split(",")
             if len(f) != n:
                 raise ValueError(line)
-            yield from f[1:]
+            yield from f[ints:]
+
+    keys = chain.from_iterable(line.split(",", ints)[:ints] for line in body)
+    keys = np.fromiter(map(int, keys), np.int64, len(body) * ints)
+    return (keys.reshape(-1, ints).T.copy(),
+            np.fromiter(map(float, values()), float, len(body) * (n - ints)).reshape(len(body), -1))
 
 
 def _timed_records(path, header: str, what: str):
@@ -158,16 +174,9 @@ def _timed_records(path, header: str, what: str):
     time-stamped stream: int64 time that strictly increases, then finite
     numbers.  Raises :class:`EmptyStream` when there are no records."""
     lines = _lines_after(path, header)
-    # whole columns first, through the same int() and float(); the row loop
-    # below runs only when they fail, and words the error
-    k = header.count(",")
-    rows = sum(1 for line in lines[1:] if line)
     try:
-        times = np.fromiter(map(int, (line.partition(",")[0] for line in lines[1:] if line)),
-                            np.int64, rows)
-        values = np.fromiter(map(float, _value_fields(lines[1:], k + 1)),
-                             float, rows * k).reshape(rows, k)
-        if rows and (times[1:] > times[:-1]).all() and np.isfinite(values).all():
+        (times,), values = _columns(lines, header, 1)
+        if times.size and (times[1:] > times[:-1]).all() and np.isfinite(values).all():
             return times, values
     except (ValueError, OverflowError):
         pass
@@ -251,8 +260,16 @@ def load_truth_csv(path) -> TruthStream:
 
 
 def load_map_csv(path) -> LandmarkMap:
+    lines = _lines_after(path, MAP_HEADER)
+    try:
+        (ids,), v = _columns(lines, MAP_HEADER, 1)
+        if (ids.size and np.isfinite(v).all() and (v[:, 3] > 0.0).all()
+                and np.unique(ids).size == ids.size):
+            return LandmarkMap(ids=ids, positions=v[:, :3].copy(), weights=v[:, 3].copy())
+    except (ValueError, OverflowError):
+        pass
     ids, pts, wts, seen = [], [], [], set()
-    for lineno, f in _records(path, MAP_HEADER):
+    for lineno, f in _records(path, MAP_HEADER, lines):
         i = _parse_int64(path, lineno, f[0])
         pts.append([_parse_float(path, lineno, s) for s in f[1:4]])
         w = _parse_float(path, lineno, f[4])
@@ -271,8 +288,21 @@ def load_map_csv(path) -> LandmarkMap:
 
 def load_obs_csv(path) -> list[tuple[int, LandmarkObservation]]:
     """Epochs from the long observation format; equal-time rows group."""
+    lines = _lines_after(path, OBS_HEADER)
+    try:
+        (t, ids), points = _columns(lines, OBS_HEADER, 2)
+        # an epoch is a run of equal times, in which no id may repeat
+        starts = np.flatnonzero(np.diff(t)) + 1
+        by_id = np.lexsort((ids, t))
+        t_s, ids_s = t[by_id], ids[by_id]
+        if (t.size and (t[1:] >= t[:-1]).all() and np.isfinite(points).all()
+                and not ((t_s[1:] == t_s[:-1]) & (ids_s[1:] == ids_s[:-1])).any()):
+            return [(t0, LandmarkObservation(ids=i, points=y.copy())) for t0, i, y in zip(
+                t[np.r_[0, starts]].tolist(), np.split(ids, starts), np.split(points, starts))]
+    except (ValueError, OverflowError):
+        pass
     epochs: list[tuple[int, list, list]] = []
-    for lineno, f in _records(path, OBS_HEADER):
+    for lineno, f in _records(path, OBS_HEADER, lines):
         t = _parse_int64(path, lineno, f[0])
         if epochs and t < epochs[-1][0]:
             raise NonMonotonicTime(path, lineno,
@@ -328,17 +358,29 @@ def load_landmarks(map_path, obs_path):
     Returns the map and the epoch list.  Raises
     :class:`~se23nav.measurement.UnknownLandmarkId` when an observation
     references an id missing from the map and
-    :class:`~se23nav.measurement.InsufficientLandmarks` when any epoch holds
-    fewer than three readings.
+    :class:`~se23nav.measurement.InsufficientLandmarks` when an epoch holds
+    fewer than three readings or observes a subset of the map that
+    :func:`~se23nav.measurement.check_configuration` rejects (collinear
+    landmarks), checked once per distinct set of observed ids.
     """
     lmap = load_map_csv(map_path)
     observations = load_obs_csv(obs_path)
+    usable = set()
     for t_ns, obs in observations:
-        lmap.index_of(obs.ids)
+        idx = lmap.index_of(obs.ids)
         if obs.ids.size < 3:
             raise InsufficientLandmarks(
                 f"epoch at {t_ns} ns has {obs.ids.size} reading(s); "
                 "at least 3 are required")
+        key = np.sort(obs.ids).tobytes()
+        if key in usable:
+            continue
+        report = check_configuration(LandmarkMap(ids=obs.ids, positions=lmap.positions[idx],
+                                                 weights=lmap.weights[idx]))
+        if not report.ok:
+            raise InsufficientLandmarks(
+                f"epoch at {t_ns} ns observes landmarks {obs.ids.tolist()}: {report.reason}")
+        usable.add(key)
     return lmap, observations
 
 

@@ -9,25 +9,41 @@ arise from a single matrix product.
 
 The 3-vector kernels run once or more per inertial sample, where numpy's
 per-call overhead costs far more than the arithmetic.  They unpack their
-operands with ``tolist()``, compute elementwise terms in plain floats and
-build one array at the end.  Every matrix product (``@``) and inner product
-(``.dot``) stays in numpy: BLAS may fuse multiply-adds, so a hand-written
-sum would round differently.  Elementwise products, sums and the cross
-product round the same either way, and a norm is
-``math.sqrt(float(x.dot(x)))``, the expression ``np.linalg.norm`` evaluates.
-Sines and cosines stay ``np.sin`` and ``np.cos``.  The rewrite therefore
-keeps every output bit of the numpy formulas it replaced.
+operands with ``tolist()``, compute in plain floats and build one array at
+the end.  Which products are plain-float sums and which stay numpy:
 
-Kernels that also come in a batched form (``_so3_gammas_rows`` here,
-``quaternion._quat_from_rotvec_rows``) give every row the bits the one-row
-kernel gives it, under these rules: products are stacked ``@`` on C-ordered
-operands, so each slice is the same BLAS call as one product; norms are
-``np.sqrt(np.vecdot(x, x))``, which calls the same dot as ``x.dot(x)``, and
-never ``np.einsum``; sines and cosines are ``np.sin`` and ``np.cos`` on
-arrays; a branch is taken per row with ``np.where`` over both branches'
-elementwise terms, which round as the floats do; and a Python float power
-(``theta ** 3``) is evaluated per element, since numpy's array power rounds
-differently.
+- The state-dependent half of the propagation law computes in plain
+  floats, with no ``@``, ``.dot``, ``np.linalg.norm`` or ``np.vecdot``:
+  ``observer._advance`` (``r [G1 a; G2 a]`` and ``r G0`` over the attitude
+  held as nine floats), :func:`orthonormalize_rows` and the quaternion
+  kernels of :mod:`se23nav.quaternion`.  Every inner product there is an
+  explicit sum in index order, ``x0*y0 + x1*y1 + x2*y2`` evaluated left to
+  right.  The reason is speed: a BLAS call per 3-vector costs more than
+  the sum.  OpenBLAS fuses multiply-adds, so no plain-float sum reproduces
+  its bits; these sums define their own, and they do not depend on the
+  memory layout of the operands.
+- The input-only half (:func:`so3_gammas` and its batched twin
+  ``_so3_gammas_rows``, ``G1 a`` and ``G2 a``), the correction
+  (``measurement.aggregate``, ``observer.correct``) and scoring keep their
+  numpy products (``@`` on C-ordered operands), and a norm there is
+  ``math.sqrt(float(x.dot(x)))``, the expression ``np.linalg.norm``
+  evaluates.  The engine computes the input-only terms a block of steps at
+  a time, where numpy's call overhead is shared by many rows.
+- Elementwise products and sums, and the cross product, round the same in
+  floats and in numpy.  Sines and cosines stay ``np.sin`` and ``np.cos``
+  (``math.sin`` rounds differently on some inputs).
+
+Kernels that also come in a batched form (``_so3_gammas_rows`` here, the
+stacked ``quaternion.quat_to_rot`` and ``quaternion._quat_from_rotvec_rows``)
+give every row the bits the one-row kernel gives it, under these rules: a
+plain-float sum becomes the same sum of elementwise numpy terms; products
+are stacked ``@`` on C-ordered operands, so each slice is the same BLAS
+call as one product; norms are ``np.sqrt(np.vecdot(x, x))``, which calls
+the same dot as ``x.dot(x)``, and never ``np.einsum``; sines and cosines are
+``np.sin`` and ``np.cos`` on arrays; a branch is taken per row with
+``np.where`` over both branches' elementwise terms, which round as the
+floats do; and a Python float power (``theta ** 3``) is evaluated per
+element, since numpy's array power rounds differently.
 """
 
 from __future__ import annotations
@@ -98,16 +114,27 @@ def so3_distance(r: np.ndarray) -> float:
     return min(1.0, max(0.0, d))
 
 
+def _unit3(x: float, y: float, z: float) -> list:
+    """A float 3-vector divided by its length; NaN for a zero length, as
+    numpy's ``0 / 0``, so a caller's finiteness check reports it."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if n == 0.0:
+        return [math.nan] * 3
+    return [x / n, y / n, z / n]
+
+
 def orthonormalize_rows(r: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize a drifting rotation matrix.
+    """Re-orthonormalize a drifting rotation matrix (or its nine entries,
+    row by row).
 
     Gram-Schmidt on the first two rows; the third is their cross product so
     the result is always right handed.
     """
-    r0 = r[0] / _norm(r[0])
-    r1 = r[1] - (r[1] @ r0) * r0
-    r1 = r1 / _norm(r1)
-    return np.array([r0, r1, _cross(r0.tolist(), r1.tolist())])
+    a0, a1, a2, b0, b1, b2, *_ = np.ravel(r).tolist()
+    r0 = _unit3(a0, a1, a2)
+    d = b0 * r0[0] + b1 * r0[1] + b2 * r0[2]
+    r1 = _unit3(b0 - d * r0[0], b1 - d * r0[1], b2 - d * r0[2])
+    return np.array([r0, r1, _cross(r0, r1)])
 
 
 def _rot_coeffs(theta: float) -> tuple[float, float]:

@@ -18,16 +18,18 @@ The attitude is kept as a rotation matrix or as a unit quaternion, chosen at
 :meth:`ObserverState.create`; both run the same update law.
 
 The propagation law lives in one function, ``_advance``.  It steps a flat
-state (attitude arrays, position, velocity and gravity as float lists) with
-inputs that depend on nothing else: ``G0``, ``[G1 a; G2 a]`` and, for a
-quaternion, ``exp(omega dt)``.  :func:`predict` computes them for one sample
-and wraps the result in an :class:`ObserverState`; the closed-loop engine
-computes them for many samples at once (``_motion_rows``) and keeps the flat
-state between epochs.
+state, every part a float list (the attitude matrix as nine floats, row by
+row, and its quaternion as four), with inputs that depend on nothing else:
+``[G1 a; G2 a]`` and the turn, ``G0`` for a matrix and ``exp(omega dt)`` for
+a quaternion.  :func:`predict` computes them for one sample and wraps the
+result in an :class:`ObserverState`; the closed-loop engine computes them
+for many samples at once (``_motion_rows``) and keeps the flat state between
+epochs.
 
-The per-sample arithmetic is written in plain floats under the rule stated
-in :mod:`se23nav.liegroup`: elementwise terms in floats, every matrix
-product in numpy.
+The arithmetic follows the rule stated in :mod:`se23nav.liegroup`: the
+state-dependent half of the law (``_advance``) is explicit float sums, the
+input-only half (``so3_gammas``, ``G1 a``, ``G2 a``), the correction and the
+scoring keep their numpy products.
 """
 
 from __future__ import annotations
@@ -256,8 +258,8 @@ def _turn(r: np.ndarray, quat: np.ndarray | None, rotvec: np.ndarray,
         return r_new, None, g0 if left else None
     dq = quat_from_rotvec(rotvec)
     if not left:
-        q_new, r_new = _turn_right(quat, dq)
-        return r_new, q_new, None
+        q_new, r_new = _turn_right(quat.tolist(), dq.tolist())
+        return np.array(r_new).reshape(3, 3), np.array(q_new), None
     q_new = quat_normalize(quat_product(dq, quat))
     return quat_to_rot(q_new), q_new, quat_to_rot(dq)
 
@@ -294,50 +296,64 @@ def _gammas(rotvec: np.ndarray):
         raise NonFiniteState("observer state left the finite range") from None
 
 
-def _advance(r: np.ndarray, p: list, v: list, g: list, quat: np.ndarray | None,
-             steps: int, g0: np.ndarray, g12a: np.ndarray, dq: np.ndarray | None,
-             dt: float) -> tuple[np.ndarray, list, list, np.ndarray | None]:
+def _advance(r: list, p: list, v: list, g: list, quat: list | None, steps: int,
+             turn: list, g12a: list, dt: float) -> tuple[list, list, list, list | None]:
     """The propagation law: one inertial step of a flat state.
 
-    ``r`` is the attitude matrix and ``quat`` its unit quaternion (``None``
-    for a matrix attitude); ``p``, ``v`` and the gravity estimate ``g`` are
-    float lists.  The inputs enter only through ``g0 = G0``, the rows
-    ``g12a = [G1 a; G2 a]`` and, for a quaternion, ``dq = exp(omega dt)``,
-    where ``G0, G1, G2`` are the :func:`so3_gammas` of ``omega dt``.
-    ``steps`` is the step count this step completes; a matrix attitude is
-    re-orthonormalized when it is a multiple of :data:`REORTHO_EVERY`.
-    Returns the new ``(r, p, v, quat)``; raises :class:`NonFiniteState` when
-    an entry leaves the finite range.
+    Every argument but ``steps`` and ``dt`` is a float list.  ``r`` is the
+    attitude matrix as nine floats, row by row, and ``quat`` its unit
+    quaternion (``None`` for a matrix attitude); ``p``, ``v`` and the gravity
+    estimate ``g`` have three.  The inputs enter only through the rows
+    ``g12a = [G1 a; G2 a]`` (six floats) and ``turn``: the nine entries of
+    ``G0`` for a matrix, ``exp(omega dt)`` for a quaternion, where ``G0, G1,
+    G2`` are the :func:`so3_gammas` of ``omega dt``.  ``steps`` is the step
+    count this step completes; a matrix attitude is re-orthonormalized when
+    it is a multiple of :data:`REORTHO_EVERY`.  Returns the new ``(r, p, v,
+    quat)``; raises :class:`NonFiniteState` when an entry leaves the finite
+    range.
     """
-    # r G1 a, then r G2 a: one stacked product, a matrix-vector one per row
-    x = (r @ g12a[..., None]).ravel().tolist()
+    # r G1 a and r G2 a, every entry an explicit sum in index order
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    a0, a1, a2, b0, b1, b2 = g12a
+    x = [r00 * a0 + r01 * a1 + r02 * a2, r10 * a0 + r11 * a1 + r12 * a2,
+         r20 * a0 + r21 * a1 + r22 * a2]
+    y = [r00 * b0 + r01 * b1 + r02 * b2, r10 * b0 + r11 * b1 + r12 * b2,
+         r20 * b0 + r21 * b1 + r22 * b2]
     dt2 = dt * dt
-    p_new = [pi + vi * dt + xi * dt2 + 0.5 * gi * dt2
-             for pi, vi, xi, gi in zip(p, v, x[3:], g)]
+    p_new = [pi + vi * dt + yi * dt2 + 0.5 * gi * dt2
+             for pi, vi, yi, gi in zip(p, v, y, g)]
     v_new = [vi + xi * dt + gi * dt for vi, xi, gi in zip(v, x, g)]
     if quat is None:
-        r_new = r @ g0
+        c00, c01, c02, c10, c11, c12, c20, c21, c22 = turn
+        r_new = [r00 * c00 + r01 * c10 + r02 * c20, r00 * c01 + r01 * c11 + r02 * c21,
+                 r00 * c02 + r01 * c12 + r02 * c22,
+                 r10 * c00 + r11 * c10 + r12 * c20, r10 * c01 + r11 * c11 + r12 * c21,
+                 r10 * c02 + r11 * c12 + r12 * c22,
+                 r20 * c00 + r21 * c10 + r22 * c20, r20 * c01 + r21 * c11 + r22 * c21,
+                 r20 * c02 + r21 * c12 + r22 * c22]
         if steps % REORTHO_EVERY == 0:
-            r_new = orthonormalize_rows(r_new)
+            r_new = orthonormalize_rows(r_new).ravel().tolist()
     else:
-        quat, r_new = _turn_right(quat, dq)
-    if not all(map(math.isfinite, r_new.ravel().tolist() + p_new + v_new)):
+        quat, r_new = _turn_right(quat, turn)
+    if not all(map(math.isfinite, r_new + p_new + v_new)):
         raise NonFiniteState("observer state left the finite range")
     return r_new, p_new, v_new, quat
 
 
 def _motion_rows(omega: np.ndarray, a: np.ndarray, dt: list, quaternion: bool):
     """The inputs of :func:`_advance` for ``n`` steps of ``dt`` seconds under
-    ``(n, 3)`` rates ``omega`` and specific forces ``a``: ``G0`` as
-    ``(n, 3, 3)``, ``[G1 a; G2 a]`` as ``(n, 2, 3)`` and ``dq`` as ``(n, 4)``
-    (``None`` unless ``quaternion``); each row has the bits :func:`predict`
-    computes.  A row that leaves the finite range raises in :func:`_advance`,
-    at its own step, so nothing warns here."""
+    ``(n, 3)`` rates ``omega`` and specific forces ``a``, as lists of ``n``
+    float lists: the turns (``G0`` or, if ``quaternion``, ``dq``) and ``[G1 a;
+    G2 a]``; each row has the bits :func:`predict` computes.  A row that
+    leaves the finite range raises in :func:`_advance`, at its own step, so
+    nothing warns here."""
+    n = len(dt)
     with np.errstate(all="ignore"):
         rotvec = omega * np.array(dt)[:, None]
         g0, g1, g2 = _so3_gammas_rows(rotvec)
-        g12a = (np.stack([g1, g2], axis=1) @ a[:, None, :, None])[..., 0]
-        return g0, g12a, _quat_from_rotvec_rows(rotvec) if quaternion else None
+        g12a = (np.stack([g1, g2], axis=1) @ a[:, None, :, None]).reshape(n, 6)
+        turns = _quat_from_rotvec_rows(rotvec) if quaternion else g0.reshape(n, 9)
+        return turns.tolist(), g12a.tolist()
 
 
 def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
@@ -351,14 +367,17 @@ def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
     rotvec = np.asarray(omega_m, dtype=float) * dt
     g0, g1, g2 = _gammas(rotvec)
     a = np.asarray(a_m, dtype=float)
-    dq = None if state.quat is None else quat_from_rotvec(rotvec)
+    quat = state.quat
+    turn = g0 if quat is None else quat_from_rotvec(rotvec)
     steps = state.steps + 1
-    r, p, v, quat = _advance(state.nav.r, state.nav.p.tolist(), state.nav.v.tolist(),
-                             state.g_hat.tolist(), state.quat, steps, g0,
-                             np.array([g1 @ a, g2 @ a]), dq, dt)
-    return ObserverState(nav=NavState(r, np.array(p), np.array(v)),
+    r, p, v, quat = _advance(
+        np.ravel(state.nav.r).tolist(), state.nav.p.tolist(), state.nav.v.tolist(),
+        state.g_hat.tolist(), None if quat is None else quat.tolist(), steps,
+        turn.ravel().tolist(), (g1 @ a).tolist() + (g2 @ a).tolist(), dt)
+    return ObserverState(nav=NavState(np.array(r).reshape(3, 3), np.array(p), np.array(v)),
                          sigma_hat=state.sigma_hat, g_hat=state.g_hat,
-                         gravity_mode=state.gravity_mode, steps=steps, quat=quat)
+                         gravity_mode=state.gravity_mode, steps=steps,
+                         quat=None if quat is None else np.array(quat))
 
 
 def correct(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,

@@ -3,18 +3,27 @@
 Quaternions are plain numpy arrays ``[w, x, y, z]`` with the scalar part
 first.  The product convention is chosen so that the rotation map is a
 homomorphism: ``quat_to_rot(quat_product(a, b)) == quat_to_rot(a) @ quat_to_rot(b)``.
-The per-sample functions compute in plain floats under the rule stated in
-:mod:`se23nav.liegroup`; ``rot_to_quat`` and the stacked ``quat_to_rot``
-apply the same elementwise formulas to whole arrays, so each row rounds as
-it would alone, and so does ``_quat_from_rotvec_rows``.  ``_turn_right``
-is the right turn of the propagation law in one pass.
+
+The kernels the propagation law runs on every step (``quat_product``,
+``quat_normalize``, ``quat_to_rot``, ``quat_from_rotvec`` and
+``_turn_right``, which chains the first three) compute in plain floats,
+with no numpy product: every inner product and squared norm is an explicit
+sum in index order, ``w*w + x*x + y*y + z*z`` evaluated left to right.  A
+BLAS dot may fuse multiply-adds or sum in another order, so these kernels
+do not reproduce numpy's ``@`` to the last bit; they reproduce themselves,
+on any memory layout.  The stacked ``quat_to_rot`` and
+``_quat_from_rotvec_rows`` evaluate the same sums as elementwise numpy, which
+rounds each term as a float does, so every row has the one-row bits.
+``rot_to_quat`` (state creation and scoring, not the law) keeps
+``np.vecdot`` for its final normalisation.  Sines and cosines stay
+``np.sin`` and ``np.cos``; see :mod:`se23nav.liegroup` for the whole rule.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from .liegroup import _cross, _norm
+import numpy as np
 
 # Unit-norm tolerance accepted by quat_to_rot.
 TOL_UNIT = 1e-6
@@ -24,24 +33,34 @@ class NonUnitQuaternion(ValueError):
     """Raised when an operation requires a unit quaternion and the norm is off."""
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    n = _norm(q)
+def _product(q1, q2) -> list:
+    """Product of two float 4-sequences; scalar part ``w1 w2 - v1 . v2``."""
+    w1, x1, y1, z1 = q1
+    w2, x2, y2, z2 = q2
+    # the vector part is w1 v2 + w2 v1 + v1 x v2, term for term as np.cross
+    return [w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2),
+            w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2),
+            w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2),
+            w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2)]
+
+
+def _normalized(q) -> list:
+    """A float 4-sequence divided by its Euclidean length."""
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if n == 0.0:
         raise NonUnitQuaternion("cannot normalize the zero quaternion")
-    return q / n
+    return [w / n, x / n, y / n, z / n]
+
+
+def quat_normalize(q: np.ndarray) -> np.ndarray:
+    return np.array(_normalized(np.asarray(q, dtype=float).tolist()))
 
 
 def quat_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Quaternion product; scalar part ``w1 w2 - v1 . v2``."""
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    dot = float(q1[1:] @ q2[1:])
-    w1, *v1 = q1.tolist()
-    w2, *v2 = q2.tolist()
-    c = _cross(v1, v2)
-    return np.array([w1 * w2 - dot] + [w1 * b + w2 * a + ab
-                                       for a, b, ab in zip(v1, v2, c)])
+    return np.array(_product(np.asarray(q1, dtype=float).tolist(),
+                             np.asarray(q2, dtype=float).tolist()))
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
@@ -55,52 +74,41 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     if q.ndim > 1:
-        bad = np.any(np.abs(np.sqrt(np.vecdot(q, q)) - 1.0) > TOL_UNIT)
-        vv = np.vecdot(q[..., 1:], q[..., 1:])
         w, x, y, z = np.moveaxis(q, -1, 0)
+        bad = np.any(np.abs(np.sqrt(w * w + x * x + y * y + z * z) - 1.0) > TOL_UNIT)
     else:
-        bad = abs(_norm(q) - 1.0) > TOL_UNIT
-        vv = float(q[1:] @ q[1:])
         w, x, y, z = q.tolist()
+        bad = abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) > TOL_UNIT
     if bad:
         raise NonUnitQuaternion("quaternion norm deviates from 1 beyond tolerance")
-    m = _rot_entries(w, x, y, z, vv)
+    m = _rot_entries(w, x, y, z)
     if q.ndim == 1:
-        return np.array(m)
+        return np.array(m).reshape(3, 3)
     # C-ordered like the one-row result, so products with it round the same
-    return np.stack([np.stack(row, axis=-1) for row in m], axis=-2)
+    return np.stack(m, axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
-def _rot_entries(w, x, y, z, vv) -> list:
-    """The rotation matrix of ``[w, x, y, z]`` as nested rows, given ``vv``,
-    the dot product of the vector part with itself."""
+def _rot_entries(w, x, y, z) -> list:
+    """The nine entries of the rotation matrix of ``[w, x, y, z]``, row by row."""
     # (w^2 - v.v) I + 2 v v^T + 2 w skew(v), summed in that order per entry;
     # the zero entries of I and skew(v) are added too, for signed zeros
-    d = w * w - vv
+    d = w * w - (x * x + y * y + z * z)
     o = d * 0.0
     tw = 2.0 * w
-    return [[d + 2.0 * (x * x) + tw * 0.0, o + 2.0 * (x * y) + tw * -z, o + 2.0 * (x * z) + tw * y],
-            [o + 2.0 * (y * x) + tw * z, d + 2.0 * (y * y) + tw * 0.0, o + 2.0 * (y * z) + tw * -x],
-            [o + 2.0 * (z * x) + tw * -y, o + 2.0 * (z * y) + tw * x, d + 2.0 * (z * z) + tw * 0.0]]
+    return [d + 2.0 * (x * x) + tw * 0.0, o + 2.0 * (x * y) + tw * -z, o + 2.0 * (x * z) + tw * y,
+            o + 2.0 * (y * x) + tw * z, d + 2.0 * (y * y) + tw * 0.0, o + 2.0 * (y * z) + tw * -x,
+            o + 2.0 * (z * x) + tw * -y, o + 2.0 * (z * y) + tw * x, d + 2.0 * (z * z) + tw * 0.0]
 
 
-def _turn_right(q: np.ndarray, dq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``quat_normalize(quat_product(q, dq))`` and its :func:`quat_to_rot`
-    matrix, in one pass that keeps both functions' checks and roundings."""
-    # ``.dot`` calls the same BLAS dot as ``@``, with less overhead
-    dot = float(q[1:].dot(dq[1:]))
-    w1, *v1 = q.tolist()
-    w2, *v2 = dq.tolist()
-    c = _cross(v1, v2)
-    prod = np.array([w1 * w2 - dot] + [w1 * b + w2 * a + ab
-                                       for a, b, ab in zip(v1, v2, c)])
-    n = _norm(prod)
-    if n == 0.0:
-        raise NonUnitQuaternion("cannot normalize the zero quaternion")
-    q = np.array([x / n for x in prod.tolist()])
-    if abs(_norm(q) - 1.0) > TOL_UNIT:
+def _turn_right(q, dq) -> tuple[list, list]:
+    """``quat_normalize(quat_product(q, dq))`` and the nine entries of its
+    :func:`quat_to_rot` matrix, of and as float lists, with both functions'
+    checks and roundings."""
+    q = _normalized(_product(q, dq))
+    w, x, y, z = q
+    if abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) > TOL_UNIT:
         raise NonUnitQuaternion("quaternion norm deviates from 1 beyond tolerance")
-    return q, np.array(_rot_entries(*q.tolist(), float(q[1:].dot(q[1:]))))
+    return q, _rot_entries(w, x, y, z)
 
 
 # The terms of each branch of rot_to_quat: 0 is s / 4, 1 to 6 are the
@@ -137,13 +145,11 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
 
 def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
     """Unit quaternion of the rotation vector ``v`` (axis times angle)."""
-    v = np.asarray(v, dtype=float)
-    theta = _norm(v)
-    x, y, z = v.tolist()
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    theta = math.sqrt(x * x + y * y + z * z)
     if theta < 1e-8:
         # first-order series; renormalized to kill the O(theta^2) defect
-        q = np.array([1.0, 0.5 * x, 0.5 * y, 0.5 * z])
-        return q / _norm(q)
+        return np.array(_normalized([1.0, 0.5 * x, 0.5 * y, 0.5 * z]))
     half = 0.5 * theta
     s = float(np.sin(half))
     return np.array([float(np.cos(half)),
@@ -153,12 +159,12 @@ def quat_from_rotvec(v: np.ndarray) -> np.ndarray:
 def _quat_from_rotvec_rows(v: np.ndarray) -> np.ndarray:
     """:func:`quat_from_rotvec` of every row of a ``(..., 3)`` array, each row
     bit for bit the one-row result (see :mod:`se23nav.liegroup` for the rules)."""
-    v = np.asarray(v, dtype=float)
-    x, y, z = np.moveaxis(v, -1, 0)
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
     with np.errstate(all="ignore"):  # both branches are evaluated on every row
-        theta = np.sqrt(np.vecdot(v, v))
-        near = np.stack([np.ones_like(theta), 0.5 * x, 0.5 * y, 0.5 * z], axis=-1)
-        near = near / np.sqrt(np.vecdot(near, near))[..., None]
+        theta = np.sqrt(x * x + y * y + z * z)
+        hx, hy, hz = 0.5 * x, 0.5 * y, 0.5 * z
+        n = np.sqrt(1.0 * 1.0 + hx * hx + hy * hy + hz * hz)
+        near = np.stack([1.0 / n, hx / n, hy / n, hz / n], axis=-1)
         half = 0.5 * theta
         s = np.sin(half)
         far = np.stack([np.cos(half), s * (x / theta), s * (y / theta), s * (z / theta)],

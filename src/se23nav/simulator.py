@@ -20,6 +20,7 @@ public ``predict`` and ``correct`` bit for bit.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import astuple, dataclass
 from typing import Sequence
 
@@ -441,25 +442,34 @@ def run_closed_loop(truth: TruthStream | None,
     g_true = np.asarray(g_ref, dtype=float)
     t_rot = None if truth is None else quat_to_rot(truth.quat)
     first = -1 if truth is None else int(np.searchsorted(instants, truth.t_ns[0]))
-    # the estimate at every instant, scored after the loop; the attitude as
-    # kept (a quaternion's matrix is its quat_to_rot)
     n = instants.size
-    r, quat, steps = state.nav.r, state.quat, state.steps
-    att = np.empty((n, 3, 3) if quat is None else (n, 4))
-    p_col, v_col, sigma_col, g_col = (np.empty((n, 3)) for _ in range(4))
     stamps, held = instants.tolist(), held.tolist()
     last_corr_ns: int | None = None
     initial: Metrics | None = None
-    # the flat state between epochs: ObserverState is built only to correct,
-    # to score the first truth instant and to return the final state
-    p, v, g = state.nav.p.tolist(), state.nav.v.tolist(), state.g_hat.tolist()
-    block_end = 0
+    steps = state.steps
+    # the flat state between epochs, all float lists: ObserverState is built
+    # only to correct, to score the first truth instant and to return the
+    # final state
+    matrix = state.quat is None
+
+    def flat(state: ObserverState):
+        return (state.nav.r.ravel().tolist(), None if matrix else state.quat.tolist(),
+                state.nav.p.tolist(), state.nav.v.tolist(), state.g_hat.tolist(),
+                state.sigma_hat.tolist() + state.g_hat.tolist())
 
     def observer_state() -> ObserverState:
-        return ObserverState(nav=NavState(r, np.array(p), np.array(v)),
+        return ObserverState(nav=NavState(np.array(r).reshape(3, 3), np.array(p),
+                                          np.array(v)),
                              sigma_hat=state.sigma_hat, g_hat=state.g_hat,
-                             gravity_mode=gravity_mode, steps=steps, quat=quat)
+                             gravity_mode=gravity_mode, steps=steps,
+                             quat=None if matrix else np.array(quat))
 
+    r, quat, p, v, g, adapted = flat(state)
+    # the estimate at every instant, scored after the loop: the attitude as
+    # kept (a quaternion's matrix is its quat_to_rot), p, v, sigma and g_hat,
+    # packed doubles (a list of floats would cost four times the memory)
+    record = array("d")
+    block_end = 0
     for k, t_ns in enumerate(stamps):
         if k and held[k - 1] >= 0:
             if k >= block_end:
@@ -468,12 +478,11 @@ def run_closed_loop(truth: TruthStream | None,
                 dts = [(stamps[i] - stamps[i - 1]) / NS_PER_S
                        for i in range(block_start, block_end)]
                 rows = np.maximum(held[block_start - 1:block_end - 1], 0)
-                g0s, g12as, dqs = _motion_rows(imu.omega[rows], imu.accel[rows], dts,
-                                               quat is not None)
+                turns, g12as = _motion_rows(imu.omega[rows], imu.accel[rows], dts,
+                                            not matrix)
             i = k - block_start
             steps += 1
-            r, p, v, quat = _advance(r, p, v, g, quat, steps, g0s[i], g12as[i],
-                                     None if dqs is None else dqs[i], dts[i])
+            r, p, v, quat = _advance(r, p, v, g, quat, steps, turns[i], g12as[i], dts[i])
         if k == first:
             state = observer_state()
             true_nav = NavState(t_rot[0], truth.pos[0], truth.vel[0])
@@ -484,25 +493,30 @@ def run_closed_loop(truth: TruthStream | None,
             dt_c = obs_nominal_dt if last_corr_ns is None else (t_ns - last_corr_ns) / NS_PER_S
             state = correct(observer_state(), lmap, epoch, gains,
                             min(dt_c, max_correction_dt))
-            r, quat = state.nav.r, state.quat
-            p, v, g = state.nav.p.tolist(), state.nav.v.tolist(), state.g_hat.tolist()
+            r, quat, p, v, g, adapted = flat(state)
             last_corr_ns = t_ns
-        att[k], p_col[k], v_col[k] = r if quat is None else quat, p, v
-        sigma_col[k], g_col[k] = state.sigma_hat, state.g_hat
+        record.extend((r if matrix else quat) + p + v + adapted)
 
     state = observer_state()
+    table = np.frombuffer(record).reshape(n, -1)
+    keep = np.ones(n, bool) if truth is None else np.isin(instants, truth.t_ns)
+    # the kept rows of each column, copied C-ordered, since products round by
+    # memory layout
+    w = table.shape[1] - 12  # the attitude's width
+    edges = [0, w, w + 3, w + 6, w + 9, w + 12]
+    att, p_col, v_col, sigma_col, g_col = (table[keep, a:b] for a, b in zip(edges, edges[1:]))
+    del table, record  # before scoring allocates its temporaries
+    if matrix:
+        att = att.reshape(-1, 3, 3)
     errors = (None,) * 4
     if truth is not None:
-        keep = np.isin(instants, truth.t_ns)
-        att, p_col, v_col, sigma_col, g_col = (
-            a[keep] for a in (att, p_col, v_col, sigma_col, g_col))
-        rot = att if quat is None else quat_to_rot(att)
+        rot = att if matrix else quat_to_rot(att)
         errors = _error_norms(t_rot, truth.pos, truth.vel, rot, p_col, v_col, g_col,
                               g_true)
         if not np.isfinite(np.concatenate([*errors, astuple(initial)])).all():
             raise NonFiniteState("an error norm against truth is not finite")
     return RunResult(instants if truth is None else truth.t_ns, *errors,
-                     quat=rot_to_quat(att) if quat is None else att,
+                     quat=rot_to_quat(att) if matrix else att,
                      p_est=p_col, v_est=v_col, sigma=sigma_col, g_hat=g_col,
                      initial=initial, final_state=state)
 

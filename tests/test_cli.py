@@ -220,6 +220,25 @@ def test_replay_rejects_unknown_landmark_id(tmp_path, capsys):
     assert "unknown landmark id" in capsys.readouterr().err
 
 
+def test_replay_of_an_epoch_of_collinear_landmarks_exits_3(tmp_path, capsys):
+    # the map is usable as a whole: the fourth landmark lies off the line
+    (tmp_path / "map.csv").write_text(COLLINEAR.replace("4,3.5,3.5,-1.75", "4,0.0,3.0,2.0"))
+    conf = write_conf(tmp_path / "run.conf", map_file="map.csv")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(conf), "--out-dir", str(out)]) == 0
+    obs = out / "obs.csv"
+    lines = obs.read_text().splitlines()
+    # the fourth landmark's reading of the second epoch goes missing
+    t, i = lines[8].split(",")[:2]
+    assert (t, i) == ("100000000", "4")
+    obs.write_text("\n".join(lines[:8] + lines[9:]) + "\n")
+    capsys.readouterr()
+    assert main(["replay", "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error: epoch at 100000000 ns observes landmarks [1, 2, 3]" in err
+    assert "collinear" in err
+
+
 def test_both_modes_record_and_replay(tmp_path, capsys):
     conf = write_conf(tmp_path / "run.conf", noise_std_omega="0.12",
                       noise_std_accel="0.11", seed="3")

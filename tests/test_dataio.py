@@ -317,6 +317,36 @@ def test_load_landmarks_cross_validation(tmp_path):
     assert "epoch at 50000000 ns has 2 reading(s)" in str(ei.value)
 
 
+# landmarks 0, 1 and 2 lie on one line; landmark 3 lifts every set it is in off it
+LINE_AND_APEX = ("id,px,py,pz,s\n0,0.0,0.0,0.0,1.0\n1,1.0,1.0,0.0,1.0\n"
+                 "2,2.0,2.0,0.0,1.0\n3,0.0,1.0,5.0,1.0\n")
+
+
+def test_load_landmarks_rejects_an_epoch_of_collinear_landmarks(tmp_path, monkeypatch):
+    mp, op = tmp_path / "map.csv", tmp_path / "obs.csv"
+    mp.write_text(LINE_AND_APEX)
+    checked = []
+    monkeypatch.setattr(dataio, "check_configuration",
+                        lambda lmap: checked.append(lmap.ids.tolist())
+                        or check_configuration(lmap))
+    # the sets {0, 1, 3}, {0, 1, 2, 3} and {0, 1, 3} again: usable, two checks
+    usable = ("t_ns,id,yx,yy,yz\n"
+              "0,0,0,0,0\n0,1,0,0,0\n0,3,0,0,0\n"
+              "50000000,0,0,0,0\n50000000,1,0,0,0\n50000000,2,0,0,0\n50000000,3,0,0,0\n"
+              "100000000,3,0,0,0\n100000000,1,0,0,0\n100000000,0,0,0,0\n")
+    op.write_text(usable)
+    lmap, obs = load_landmarks(mp, op)
+    assert check_configuration(lmap).ok
+    assert [t for t, _ in obs] == [0, 50_000_000, 100_000_000]
+    assert checked == [[0, 1, 3], [0, 1, 2, 3]]
+    # then an epoch that sees only the three on the line
+    op.write_text(usable + "150000000,2,0,0,0\n150000000,0,0,0,0\n150000000,1,0,0,0\n")
+    with pytest.raises(InsufficientLandmarks) as ei:
+        load_landmarks(mp, op)
+    assert str(ei.value) == ("epoch at 150000000 ns observes landmarks [2, 0, 1]: "
+                             "landmarks are collinear within tolerance")
+
+
 def test_config_roundtrip_default_and_waypoints(tmp_path):
     p = tmp_path / "run.conf"
     cfg = RunConfig()

@@ -1,13 +1,23 @@
-"""The float-built kernels reproduce the numpy formulas they replaced, bit for bit.
+"""The float-built kernels reproduce the formulas that define them, bit for bit.
 
-Each reference below is the numpy expression the kernel evaluated before it
-was written in plain floats, copied out here.  Results are compared with
-``tobytes()``, so a single rounding difference, or a zero of the other sign,
-fails the test.
+Most references below are the numpy expression a kernel evaluated before it
+was written in plain floats, copied out here.  The kernels of the
+propagation law (the quaternion kernels, ``orthonormalize_rows`` and
+``observer._advance``) are defined by explicit sums instead: every inner
+product is ``x0*y0 + x1*y1 + ...`` evaluated left to right (``sum_dot``),
+where numpy's ``@`` calls a BLAS dot that may fuse multiply-adds.  For them
+the numpy formula they replaced stays as a bound check: the two may differ
+only by the rounding of those inner products, which for a length-n dot is
+at most ``gamma_n * sum |x_i y_i|`` on each side (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., section 3.1), carried through
+the kernel's remaining operations.  Results are compared with
+``tobytes()``, so a single rounding difference, or a zero of the other
+sign, fails the test.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,13 +26,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from se23nav import (ADAPTIVE_GRAVITY, Gains, NavState, ObserverState,
+from se23nav import (ADAPTIVE_GRAVITY, MATRIX, QUATERNION, Gains, NavState, ObserverState,
                      compute_corrections, error_metrics, gravity_step,
                      sigma_step)
 from se23nav.liegroup import (SMALL_ANGLE, _SERIES_ANGLE, _cross, _norm,
                               _so3_gammas_rows, nav_error, orthonormalize_rows,
                               skew, so3_distance, so3_gammas, vex_antisym)
-from se23nav.observer import _error_norms
+from se23nav.observer import REORTHO_EVERY, _advance, _error_norms, predict
 from se23nav.measurement import MeasurementSummary
 from se23nav.quaternion import (_quat_from_rotvec_rows, _turn_right, quat_from_rotvec,
                                 quat_normalize, quat_product, quat_to_rot, rot_to_quat)
@@ -38,6 +48,36 @@ mat3 = arrays(float, (3, 3), elements=_coord)
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# explicit sums and the rounding bound of a dot product
+
+U = 2.0 ** -53  # unit roundoff of a double
+
+
+def gamma(n: int) -> float:
+    return n * U / (1.0 - n * U)
+
+
+def sum_dot(x, y) -> float:
+    """``x . y`` as an explicit sum in index order, left to right."""
+    x, y = np.ravel(x).tolist(), np.ravel(y).tolist()
+    acc = x[0] * y[0]
+    for a, b in zip(x[1:], y[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def dot_error(x, y) -> float:
+    """How far two evaluations of ``x . y`` may lie apart: each is within
+    ``gamma_n * sum |x_i y_i|`` of the exact value (Higham, section 3.1)."""
+    x, y = np.ravel(x), np.ravel(y)
+    return 2.0 * gamma(x.size) * float(np.sum(np.abs(x * y)))
+
+
+def within(got, old, tol) -> bool:
+    return bool(np.all(np.abs(np.asarray(got) - np.asarray(old)) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -76,24 +116,85 @@ def ref_so3_gammas(w):
             0.5 * i3 + c2 * s + c3 * s2)
 
 
-def ref_orthonormalize_rows(r):
-    r0 = r[0] / np.linalg.norm(r[0])
-    r1 = r[1] - (r[1] @ r0) * r0
-    r1 = r1 / np.linalg.norm(r1)
+def _orthonormalize_rows(r, dot):
+    r0 = r[0] / np.sqrt(dot(r[0], r[0]))
+    r1 = r[1] - dot(r[1], r0) * r0
+    r1 = r1 / np.sqrt(dot(r1, r1))
     return np.array([r0, r1, np.cross(r0, r1)])
 
 
-def ref_quat_product(q1, q2):
+def _quat_product(q1, q2, dot):
     w1, v1 = q1[0], q1[1:]
     w2, v2 = q2[0], q2[1:]
-    w = w1 * w2 - v1 @ v2
+    w = w1 * w2 - dot(v1, v2)
     v = w1 * v2 + w2 * v1 + np.cross(v1, v2)
     return np.array([w, v[0], v[1], v[2]])
 
 
-def ref_quat_to_rot(q):
+def _quat_normalize(q, dot):
+    return q / np.sqrt(dot(q, q))
+
+
+def _quat_to_rot(q, dot):
     w, v = q[0], q[1:]
-    return (w * w - v @ v) * np.eye(3) + 2.0 * np.outer(v, v) + 2.0 * w * ref_skew(v)
+    return (w * w - dot(v, v)) * np.eye(3) + 2.0 * np.outer(v, v) + 2.0 * w * ref_skew(v)
+
+
+def _quat_from_rotvec(v, dot):
+    theta = float(np.sqrt(dot(v, v)))
+    if theta < 1e-8:
+        q = np.array([1.0, 0.5 * v[0], 0.5 * v[1], 0.5 * v[2]])
+        return q / np.sqrt(dot(q, q))
+    half = 0.5 * theta
+    axis = v / theta
+    s = np.sin(half)
+    return np.array([np.cos(half), s * axis[0], s * axis[1], s * axis[2]])
+
+
+def _np_dot(x, y):
+    return float(np.asarray(x) @ np.asarray(y))
+
+
+# the definitions: explicit sums
+def ref_orthonormalize_rows(r):
+    return _orthonormalize_rows(r, sum_dot)
+
+
+def ref_quat_product(q1, q2):
+    return _quat_product(q1, q2, sum_dot)
+
+
+def ref_quat_normalize(q):
+    return _quat_normalize(q, sum_dot)
+
+
+def ref_quat_to_rot(q):
+    return _quat_to_rot(q, sum_dot)
+
+
+def ref_quat_from_rotvec(v):
+    return _quat_from_rotvec(v, sum_dot)
+
+
+# the numpy formulas they replaced, now bound checks: @ and np.linalg.norm
+def np_orthonormalize_rows(r):
+    return _orthonormalize_rows(r, _np_dot)
+
+
+def np_quat_product(q1, q2):
+    return _quat_product(q1, q2, _np_dot)
+
+
+def np_quat_normalize(q):
+    return _quat_normalize(q, _np_dot)
+
+
+def np_quat_to_rot(q):
+    return _quat_to_rot(q, _np_dot)
+
+
+def np_quat_from_rotvec(v):
+    return _quat_from_rotvec(v, _np_dot)
 
 
 def ref_rot_to_quat_branch(r) -> int:
@@ -127,17 +228,6 @@ def ref_rot_to_quat(r):
     if q[0] < 0.0:
         q = -q
     return q / np.linalg.norm(q)
-
-
-def ref_quat_from_rotvec(v):
-    theta = float(np.linalg.norm(v))
-    if theta < 1e-8:
-        q = np.array([1.0, 0.5 * v[0], 0.5 * v[1], 0.5 * v[2]])
-        return q / np.linalg.norm(q)
-    half = 0.5 * theta
-    axis = v / theta
-    s = np.sin(half)
-    return np.array([np.cos(half), s * axis[0], s * axis[1], s * axis[2]])
 
 
 def ref_error_norms(r, p, v, r_hat, p_hat, v_hat, g_hat, g_true):
@@ -225,30 +315,76 @@ def test_so3_gammas(v, scale):
             assert same_bits(got, want)
 
 
+def check_normalize_bound(got, q):
+    """``got`` against numpy's ``q / |q|``: the squared lengths differ by at
+    most the dot bound, the quotients by half of that relative to the
+    squared length, and sqrt and division round once more on each side."""
+    old = np_quat_normalize(q)
+    rel = dot_error(q, q) / float(np.sum(q * q)) + 4.0 * U
+    assert within(got, old, rel * np.abs(old))
+
+
 @given(vec4, vec4)
 def test_quat_product_and_normalize(q1, q2):
-    assert same_bits(quat_product(q1, q2), ref_quat_product(q1, q2))
+    got = quat_product(q1, q2)
+    assert same_bits(got, ref_quat_product(q1, q2))
+    # numpy's formula: the vector part has the same bits, the scalar part
+    # moves by the dot of the vector parts and its subtraction's rounding
+    old = np_quat_product(q1, q2)
+    assert same_bits(got[1:], old[1:])
+    assert within(got[0], old[0], dot_error(q1[1:], q2[1:])
+                  + U * (abs(got[0]) + abs(old[0])))
     assume(np.linalg.norm(q1) > 0.0)
-    assert same_bits(quat_normalize(q1), q1 / np.linalg.norm(q1))
+    got = quat_normalize(q1)
+    assert same_bits(got, ref_quat_normalize(q1))
+    check_normalize_bound(got, q1)
 
 
 @given(vec4)
 def test_quat_to_rot_and_back(q):
     q = unit(q)
     r = ref_quat_to_rot(q)
-    assert same_bits(quat_to_rot(q), r)
+    got = quat_to_rot(q)
+    assert same_bits(got, r)
+    # each entry takes v.v once, then up to four roundings of terms of at
+    # most 2 in magnitude on either side
+    assert within(got, np_quat_to_rot(q), dot_error(q[1:], q[1:]) + 16.0 * U)
     assert same_bits(rot_to_quat(r), ref_rot_to_quat(r))
+
+
+def check_rotvec_bound(got, v):
+    """``got`` against numpy's formula.  Far from zero every entry is a
+    function of the angle with slope at most one (``cos(t/2)`` and
+    ``x sin(t/2) / t``), so it moves by the angle's difference: the squared
+    lengths differ by the dot bound, the angles by that over twice the
+    angle, plus a rounding of the angle and of each entry's few operations."""
+    theta2 = float(np.sum(v * v))
+    if theta2 < 1e-16 or sum_dot(v, v) < 1e-16 or float(v @ v) < 1e-16:
+        near = np.array([1.0, 0.5 * v[0], 0.5 * v[1], 0.5 * v[2]])
+        check_normalize_bound(got, near)
+        return
+    theta = math.sqrt(theta2)
+    tol = dot_error(v, v) / theta + 2.0 * U * theta + 8.0 * U
+    assert within(got, np_quat_from_rotvec(v), tol)
 
 
 @given(vec3)
 def test_quat_from_rotvec(v):
-    assert same_bits(quat_from_rotvec(v), ref_quat_from_rotvec(v))
+    got = quat_from_rotvec(v)
+    assert same_bits(got, ref_quat_from_rotvec(v))
+    check_rotvec_bound(got, v)
 
 
 @given(vec4, mat3)
 def test_orthonormalize_rows(q, noise):
     r = ref_quat_to_rot(unit(q)) + noise * 1e-6
-    assert same_bits(orthonormalize_rows(r), ref_orthonormalize_rows(r))
+    got = orthonormalize_rows(r)
+    assert same_bits(got, ref_orthonormalize_rows(r))
+    assert same_bits(orthonormalize_rows(r.ravel().tolist()), got)
+    # five steps on rows of length about one (two lengths, a dot and two
+    # quotients, then a cross product of the results), each passing on at
+    # most twice the error it receives and adding one dot bound
+    assert within(got, np_orthonormalize_rows(r), 32.0 * gamma(3))
 
 
 @given(vec4, mat3, vec3, vec3, vec3, vec3, st.floats(0.0, 2.0), st.floats(1e-4, 0.2))
@@ -489,7 +625,111 @@ def test_batched_gammas_mark_an_overflowing_row():
 def test_right_turn_is_product_normalize_and_matrix(q, w):
     q = unit(q)
     dq = quat_from_rotvec(w)
-    q_new, r_new = _turn_right(q, dq)
+    q_new, r_new = _turn_right(q.tolist(), dq.tolist())
     want = quat_normalize(quat_product(q, dq))
     assert same_bits(q_new, want)
-    assert same_bits(r_new, quat_to_rot(want))
+    assert same_bits(np.reshape(r_new, (3, 3)), quat_to_rot(want))
+
+
+# ---------------------------------------------------------------------------
+# the propagation law: explicit sums over the attitude's nine floats
+
+def ref_advance(r, p, v, g, quat, steps, turn, g12a, dt):
+    """``observer._advance`` as array formulas, every product ``sum_dot``."""
+    x = np.array([[sum_dot(row, a) for row in r] for a in g12a])
+    dt2 = dt * dt
+    p_new = p + v * dt + x[1] * dt2 + 0.5 * g * dt2
+    v_new = v + x[0] * dt + g * dt
+    if quat is None:
+        r_new = np.array([[sum_dot(row, col) for col in turn.T] for row in r])
+        if steps % REORTHO_EVERY == 0:
+            r_new = ref_orthonormalize_rows(r_new)
+        return r_new, p_new, v_new, None
+    q_new = ref_quat_normalize(ref_quat_product(quat, turn))
+    return ref_quat_to_rot(q_new), p_new, v_new, q_new
+
+
+@given(vec4, vec3, vec3, vec3, vec3, vec3, st.floats(1e-4, 0.2),
+       st.sampled_from((1, REORTHO_EVERY)), st.booleans())
+def test_advance_is_the_explicit_sum_law(q, p, v, g, w, a, dt, steps, quaternion):
+    r = ref_quat_to_rot(unit(q))
+    g0, g1, g2 = so3_gammas(w * dt)
+    g12a = np.array([g1 @ a, g2 @ a])
+    quat = turn = None
+    if quaternion:
+        quat, turn = unit(q), ref_quat_from_rotvec(w * dt)
+    want = ref_advance(r, p, v, g, quat, steps, g0 if turn is None else turn, g12a, dt)
+    got = _advance(r.ravel().tolist(), p.tolist(), v.tolist(), g.tolist(),
+                   None if quat is None else quat.tolist(), steps,
+                   (g0 if turn is None else turn).ravel().tolist(), g12a.ravel().tolist(), dt)
+    assert same_bits(np.reshape(got[0], (3, 3)), want[0])
+    for a_got, a_want in zip(got[1:], want[1:]):
+        assert (a_got is None) == (a_want is None)
+        assert a_got is None or same_bits(a_got, a_want)
+    # numpy's products: r [G1 a; G2 a] moves p and v by one dot bound per
+    # entry, times dt**2 and dt, plus the roundings of the sums of four and
+    # three terms; r G0 moves by one dot bound per entry
+    x1, x2 = (r @ g12a[..., None])[..., 0]
+    dt2 = dt * dt
+    terms_p = [p, v * dt, x2 * dt2, 0.5 * g * dt2]
+    terms_v = [v, x1 * dt, g * dt]
+    dx1, dx2 = (np.array([dot_error(row, b) for row in r]) for b in g12a)
+    assert within(got[1], sum(terms_p), dx2 * dt2 + 8.0 * U * sum(map(np.abs, terms_p)))
+    assert within(got[2], sum(terms_v), dx1 * dt + 6.0 * U * sum(map(np.abs, terms_v)))
+    if not quaternion and steps % REORTHO_EVERY:
+        bound = np.array([[dot_error(row, col) for col in g0.T] for row in r])
+        assert within(np.reshape(got[0], (3, 3)), r @ g0, bound)
+
+
+# ---------------------------------------------------------------------------
+# memory layout: the plain-float kernels and predict read values, not strides
+
+def strided(a):
+    """``a`` as a slice of a wider array, every other element of its last axis."""
+    a = np.asarray(a, dtype=float)
+    wide = np.full(a.shape[:-1] + (2 * a.shape[-1],), np.nan)
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+def transposed(a):
+    """``a`` as the transpose of a C-ordered copy of its transpose: the same
+    values, F-ordered."""
+    return np.asarray(a, dtype=float).T.copy().T
+
+
+@given(vec4, vec4, vec3, mat3, st.lists(vec4, min_size=2, max_size=5),
+       st.lists(vec3, min_size=2, max_size=5))
+def test_kernels_ignore_memory_layout(q1, q2, w, noise, qs, ws):
+    q1, q2 = unit(q1), unit(q2)
+    qs = np.array([unit(q) for q in qs])
+    r = ref_quat_to_rot(q1) + noise * 1e-6
+    cases = [(quat_product, q1, q2), (quat_normalize, q1), (quat_to_rot, q1),
+             (quat_to_rot, qs), (quat_from_rotvec, w), (_quat_from_rotvec_rows, np.array(ws)),
+             (orthonormalize_rows, r)]
+    for fn, *args in cases:
+        want = fn(*(np.ascontiguousarray(a) for a in args))
+        for layout in (strided, transposed):
+            assert same_bits(fn(*map(layout, args)), want)
+
+
+@given(vec4, vec3, vec3, vec3, vec3, vec3, vec3, st.floats(1e-4, 0.2),
+       st.sampled_from((MATRIX, QUATERNION)), st.sampled_from((1, REORTHO_EVERY - 1)))
+def test_predict_ignores_memory_layout(q, p, v, sigma, g, omega, a, dt, representation, steps):
+    state = ObserverState.create(NavState(ref_quat_to_rot(unit(q)), p, v),
+                                 gravity_mode=ADAPTIVE_GRAVITY, g0=g, sigma0=sigma,
+                                 representation=representation)
+    state = dataclasses.replace(state, steps=steps)
+    views = dataclasses.replace(
+        state, nav=NavState(transposed(state.nav.r), strided(p), strided(v)),
+        sigma_hat=strided(sigma), g_hat=strided(g),
+        quat=None if state.quat is None else strided(state.quat))
+    assert not views.nav.r.flags.c_contiguous
+    want = predict(state, omega, a, dt)
+    got = predict(views, strided(omega), strided(a), dt)
+    for name in ("r", "p", "v"):
+        assert same_bits(getattr(got.nav, name), getattr(want.nav, name))
+    assert got.steps == want.steps == steps + 1
+    assert same_bits(got.sigma_hat, want.sigma_hat) and same_bits(got.g_hat, want.g_hat)
+    assert (got.quat is None) == (want.quat is None)
+    assert want.quat is None or same_bits(got.quat, want.quat)

@@ -9,10 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
-                     QUATERNION, ImuStream, InitError, NoiseSpec, NonFiniteState,
+                     QUATERNION, Gains, ImuStream, InitError, LandmarkObservation,
+                     NavState, NoiseSpec, NonFiniteState,
                      ObserverState, TrajectorySpec, TruthStream, UnstableSetWarning,
                      apply_init_error, build_streams, correct, default_landmark_map,
                      default_scenario, error_metrics, hover_scenario, nav_error, predict,
@@ -336,6 +339,99 @@ def _check_public_loop(representation):
                  (fs.sigma_hat, st.sigma_hat), (fs.g_hat, st.g_hat),
                  (fs.quat, st.quat)):
         assert a is None or a.tobytes() == b.tobytes()
+
+
+# Steps of one nanosecond up to an inertial dropout of 0.4 s; a schedule may
+# also hold one step longer than 2**53 ns.
+_STEP_NS = st.sampled_from([1, 7, 3_333_333, 5_000_000, 50_000_000, 400_000_000])
+
+
+@st.composite
+def _hostile_schedules(draw):
+    """Inertial, epoch and truth times (truth ``None`` or a list): inertial
+    gaps, a first sample after the first epoch, epochs on inertial instants
+    and off them, farther apart than ``max_correction_dt`` or closer."""
+    steps = draw(st.lists(_STEP_NS, min_size=1, max_size=20))
+    if draw(st.booleans()):
+        steps.insert(draw(st.integers(0, len(steps))), 2 ** 53 + 3)
+    start = draw(st.sampled_from([0, 2_000_000, 120_000_000]))
+    imu_t = np.cumsum([start] + steps).tolist()
+    end = imu_t[-1] + draw(st.sampled_from([0, 30_000_000]))
+    times = st.one_of(st.sampled_from(imu_t), st.integers(0, end))
+    epoch_t = sorted(set(draw(st.lists(times, max_size=8))))
+    truth_t = None
+    if draw(st.booleans()):
+        truth_t = sorted(set(draw(st.lists(times, min_size=1, max_size=8))))
+    return imu_t, epoch_t, truth_t
+
+
+def _public_loop(imu, observations, truth, init, lmap, gains, gravity_mode,
+                 representation, cap, nominal):
+    """run_closed_loop's columns, final state and initial error, by a loop
+    over the public predict and correct through the merged instants."""
+    truth_t = [] if truth is None else truth.t_ns.tolist()
+    instants = sorted(set(imu.t_ns.tolist()) | set(dict(observations)) | set(truth_t))
+    st = ObserverState.create(init, gravity_mode=gravity_mode, g_ref=GRAVITY_ENU,
+                              representation=representation)
+    obs_at, truth_at = dict(observations), {t: k for k, t in enumerate(truth_t)}
+    rows, initial, held, last_corr = [], None, -1, None
+    for k, t in enumerate(instants):
+        if k and held >= 0:
+            st = predict(st, imu.omega[held], imu.accel[held], (t - instants[k - 1]) / NS)
+        held = int(np.searchsorted(imu.t_ns, t, side="right")) - 1
+        if truth_t and t == truth_t[0]:
+            initial = error_metrics(truth[0].nav(), st, GRAVITY_ENU)
+        if t in obs_at:
+            dt_c = nominal if last_corr is None else (t - last_corr) / NS
+            st = correct(st, lmap, obs_at[t], gains, min(dt_c, cap))
+            last_corr = t
+        if truth is None or t in truth_at:
+            m = [] if truth is None else dataclasses.astuple(
+                error_metrics(truth[truth_at[t]].nav(), st, GRAVITY_ENU))
+            quat = rot_to_quat(st.nav.r) if st.quat is None else st.quat
+            rows.append([*m, *quat, *st.nav.p, *st.nav.v, *st.sigma_hat, *st.g_hat])
+    return np.array(rows), st, initial
+
+
+@given(_hostile_schedules(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((KNOWN_GRAVITY, ADAPTIVE_GRAVITY)), st.sampled_from((0.01, 0.1)))
+def test_engine_matches_the_public_loop_on_hostile_schedules(schedule, seed, gravity_mode,
+                                                            cap):
+    imu_t, epoch_t, truth_t = schedule
+    rng = np.random.default_rng(seed)
+    lmap = default_landmark_map()
+    imu = ImuStream(np.array(imu_t, dtype=np.int64), rng.normal(0.0, 0.5, (len(imu_t), 3)),
+                    rng.normal(0.0, 5.0, (len(imu_t), 3)) + [0.0, 0.0, 9.81])
+    observations = [(t, LandmarkObservation(ids=lmap.ids, points=rng.normal(0.0, 5.0, (6, 3))))
+                    for t in epoch_t]
+    truth = None
+    if truth_t is not None:
+        quats = rng.normal(size=(len(truth_t), 4))
+        truth = TruthStream(np.array(truth_t, dtype=np.int64),
+                            quats / np.linalg.norm(quats, axis=1, keepdims=True),
+                            rng.normal(0.0, 5.0, (len(truth_t), 3)),
+                            rng.normal(0.0, 1.0, (len(truth_t), 3)))
+    init = NavState(rodrigues_exp(rng.normal(0.0, 1.0, 3)), rng.normal(0.0, 5.0, 3),
+                    rng.normal(0.0, 1.0, 3))
+    for representation in (MATRIX, QUATERNION):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")  # a half-turn start warns
+            want, st_want, initial = _public_loop(imu, observations, truth, init, lmap, Gains(),
+                                         gravity_mode, representation, cap, 0.05)
+            result = run_closed_loop(truth, imu, observations, lmap, Gains(), init,
+                                     gravity_mode=gravity_mode,
+                                     representation=representation, max_correction_dt=cap)
+        cols = [result.att, result.pos, result.vel, result.grav] if truth else []
+        got = np.column_stack(cols + [result.quat, result.p_est, result.v_est,
+                                      result.sigma, result.g_hat])
+        assert got.tobytes() == want.tobytes()
+        assert result.initial == initial
+        fs = result.final_state
+        assert fs.steps == st_want.steps
+        for a, b in ((fs.nav.r, st_want.nav.r), (fs.nav.p, st_want.nav.p),
+                     (fs.nav.v, st_want.nav.v), (fs.sigma_hat, st_want.sigma_hat),
+                     (fs.g_hat, st_want.g_hat), (fs.quat, st_want.quat)):
+            assert a is None and b is None or a.tobytes() == b.tobytes()
 
 
 def test_initial_metrics_are_pre_correction():
