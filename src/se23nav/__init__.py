@@ -19,7 +19,7 @@ from .observer import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
                        NonFiniteState, ObserverState, UnstableSetWarning,
                        compute_corrections, correct, correct_quaternion,
                        error_metrics, gravity_step, predict,
-                       predict_quaternion, sigma_step, step)
+                       predict_quaternion, sigma_step)
 from .quaternion import (NonUnitQuaternion, quat_from_rotvec, quat_product,
                          quat_to_rot, rot_to_quat)
 from .simulator import (ImuSample, ImuStream, InitError, NoiseSpec, RunResult,
@@ -45,6 +45,6 @@ __all__ = [
     "predict_quaternion", "quat_from_rotvec", "quat_product", "quat_to_rot",
     "rodrigues_exp", "rot_to_quat", "run_closed_loop", "run_scenario",
     "se23_exp", "sigma_step", "skew", "so3_distance",
-    "so3_gammas", "step", "summarize",
+    "so3_gammas", "summarize",
     "synthesize_observation", "vex", "vex_antisym",
 ]

@@ -215,6 +215,7 @@ def aggregate(lmap: LandmarkMap, obs: LandmarkObservation,
         raise InsufficientLandmarks(
             "an epoch needs at least 3 readings of non-collinear landmarks")
     s, s_t, centroid, sd, scatter, trace = lmap._observed(obs.ids)
+    rhat = np.ascontiguousarray(rhat)  # products round by memory layout
     y = obs.points
     scatter_err = (sd.T @ y) @ rhat.T
     # weighted mean of p_i - rhat y_i - phat

@@ -6,13 +6,11 @@ Alongside the pose it adapts a per-axis bound on the angular-rate noise
 covariance, and can optionally estimate the gravity vector instead of
 assuming it known.
 
-Two discrete update styles are provided.  ``step`` performs one synchronous
-predict-plus-correct cycle in which both halves share a single sample
-interval.  For streams where landmark epochs are sparser than inertial
-samples, ``predict`` advances the state (including the action of the current
-gravity estimate) every inertial sample and ``correct`` applies the
-innovation-driven terms whenever a fresh epoch arrives, scaled by the time
-elapsed since the previous correction.
+The discrete form is one update pair: ``predict`` advances the state
+(including the action of the current gravity estimate) every inertial
+sample, and ``correct`` applies the innovation-driven terms whenever a
+landmark epoch arrives, scaled by the time elapsed since the previous
+correction.
 
 The attitude is kept as a rotation matrix or as a unit quaternion, chosen at
 :meth:`ObserverState.create`; both run the same update law.
@@ -37,7 +35,7 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +43,7 @@ from .liegroup import (NavState, _cross, _so3_gammas_rows, orthonormalize_rows,
                        so3_gammas, vex_antisym)
 from .measurement import LandmarkMap, LandmarkObservation, MeasurementSummary, aggregate
 from .quaternion import (_quat_from_rotvec_rows, _turn_right, quat_from_rotvec,
-                         quat_normalize, quat_product, quat_to_rot, rot_to_quat)
+                         quat_to_rot, rot_to_quat)
 
 # Local "east, north, up" world frame: gravity points down the third axis.
 GRAVITY_ENU = np.array([0.0, 0.0, -9.81])
@@ -138,11 +136,9 @@ class ObserverState:
     @classmethod
     def create(cls, nav: NavState, gravity_mode: str = KNOWN_GRAVITY,
                g_ref: np.ndarray = GRAVITY_ENU,
-               g0: np.ndarray | None = None,
-               sigma0: np.ndarray | None = None,
                representation: str = MATRIX) -> "ObserverState":
-        """Initial state.  Known mode pins ``g_hat`` to ``g_ref``; adaptive
-        mode starts it at ``g0`` (zero by default).  ``representation``
+        """Initial state, with a zero noise bound.  Known mode pins ``g_hat``
+        to ``g_ref``; adaptive mode starts it at zero.  ``representation``
         stores the attitude as a rotation matrix or as a unit quaternion
         converted from ``nav.r``."""
         if gravity_mode not in (KNOWN_GRAVITY, ADAPTIVE_GRAVITY):
@@ -152,13 +148,12 @@ class ObserverState:
         if gravity_mode == KNOWN_GRAVITY:
             g_hat = np.asarray(g_ref, dtype=float).copy()
         else:
-            g_hat = np.zeros(3) if g0 is None else np.asarray(g0, dtype=float).copy()
-        sigma = np.zeros(3) if sigma0 is None else np.asarray(sigma0, dtype=float).copy()
+            g_hat = np.zeros(3)
         quat = None
         if representation == QUATERNION:
             quat = rot_to_quat(nav.r)
             nav = NavState(quat_to_rot(quat), nav.p, nav.v)
-        return cls(nav=nav, sigma_hat=sigma, g_hat=g_hat,
+        return cls(nav=nav, sigma_hat=np.zeros(3), g_hat=g_hat,
                    gravity_mode=gravity_mode, quat=quat)
 
 
@@ -192,7 +187,7 @@ def compute_corrections(summary: MeasurementSummary, state: ObserverState,
     -------
     Correction
     """
-    rhat = state.nav.r
+    rhat = np.ascontiguousarray(state.nav.r)
     ups = vex_antisym(summary.scatter_err)
     d = summary.att_dist
     r_ups = rhat.T @ ups
@@ -237,55 +232,6 @@ def _check_finite(*arrays: np.ndarray) -> None:
     for a in arrays:
         if not all(map(math.isfinite, a.ravel().tolist())):
             raise NonFiniteState("observer state left the finite range")
-
-
-def _turn(r: np.ndarray, quat: np.ndarray | None, rotvec: np.ndarray,
-          g0: np.ndarray, *, left: bool, steps: int | None = None):
-    """Turn an attitude by ``exp(rotvec)``, whose matrix is ``g0``, from the
-    left or the right, as :func:`correct` and :func:`step` do.
-
-    Returns the turned rotation matrix, the turned unit quaternion (``None``
-    for a matrix attitude) and, after a left turn, the matrix that rotates
-    position and velocity along with the attitude (``None`` after a right
-    turn).  A matrix attitude is re-orthonormalized when ``steps``, the step
-    count the turn completes, is a multiple of :data:`REORTHO_EVERY`; a
-    quaternion is renormalized on every turn.
-    """
-    if quat is None:
-        r_new = g0 @ r if left else r @ g0
-        if steps is not None and steps % REORTHO_EVERY == 0:
-            r_new = orthonormalize_rows(r_new)
-        return r_new, None, g0 if left else None
-    dq = quat_from_rotvec(rotvec)
-    if not left:
-        q_new, r_new = _turn_right(quat.tolist(), dq.tolist())
-        return np.array(r_new).reshape(3, 3), np.array(q_new), None
-    q_new = quat_normalize(quat_product(dq, quat))
-    return quat_to_rot(q_new), q_new, quat_to_rot(dq)
-
-
-def _innovate(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
-              gains: Gains, dt: float):
-    """Correction terms of one epoch at ``state``, with the noise bound and
-    gravity estimate adapted over ``dt``: (correction, sigma_hat, g_hat)."""
-    summary = aggregate(lmap, obs, state.nav.r, state.nav.p)
-    corr = compute_corrections(summary, state, gains)
-    g_hat = state.g_hat
-    if state.gravity_mode == ADAPTIVE_GRAVITY:
-        g_hat = gravity_step(state, corr, summary, gains, dt)
-    return corr, sigma_step(state, corr, gains, dt), g_hat
-
-
-def _flow(r: np.ndarray, p: np.ndarray, v: np.ndarray, a: np.ndarray,
-          g1: np.ndarray, g2: np.ndarray, dt: float) -> tuple[list, list]:
-    """Position and velocity, as float lists, after ``dt`` under the motion
-    inputs alone: ``p + v dt + r G2 a dt^2`` and ``v + r G1 a dt``."""
-    x2 = (r @ (g2 @ a)).tolist()
-    x1 = (r @ (g1 @ a)).tolist()
-    p, v = p.tolist(), v.tolist()
-    dt2 = dt * dt
-    return ([p[i] + v[i] * dt + x2[i] * dt2 for i in range(3)],
-            [v[i] + x1[i] * dt for i in range(3)])
 
 
 def _gammas(rotvec: np.ndarray):
@@ -388,10 +334,21 @@ def correct(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
     since the previous epoch.  The gravity action is not reapplied here; it
     is part of :func:`predict`.
     """
-    corr, sigma, g_hat = _innovate(state, lmap, obs, gains, dt)
+    summary = aggregate(lmap, obs, state.nav.r, state.nav.p)
+    corr = compute_corrections(summary, state, gains)
+    sigma = sigma_step(state, corr, gains, dt)
+    g_hat = state.g_hat
+    if state.gravity_mode == ADAPTIVE_GRAVITY:
+        g_hat = gravity_step(state, corr, summary, gains, dt)
     rotvec = np.array([-c * dt for c in corr.w_omega.tolist()])
     g0c, g1c, _ = _gammas(rotvec)
-    r_new, q_new, turn = _turn(state.nav.r, state.quat, rotvec, g0c, left=True)
+    # the attitude turns by exp(rotvec) from the left; p and v turn with it
+    if state.quat is None:
+        r_new, q_new, turn = g0c @ np.ascontiguousarray(state.nav.r), None, g0c
+    else:
+        dq = quat_from_rotvec(rotvec)
+        q_new, r_new = _turn_right(dq.tolist(), state.quat.tolist())
+        r_new, q_new, turn = np.array(r_new).reshape(3, 3), np.array(q_new), quat_to_rot(dq)
     pos_in = np.array([-c * dt for c in corr.w_vel.tolist()])
     # innovation part of the acceleration channel; gravity lives in predict
     vel_in = np.array([-(c + g) * dt for c, g
@@ -402,46 +359,6 @@ def correct(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
     return ObserverState(nav=NavState(r_new, p_new, v_new), sigma_hat=sigma,
                          g_hat=g_hat, gravity_mode=state.gravity_mode,
                          steps=state.steps, quat=q_new)
-
-
-def step(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
-         lmap: LandmarkMap, obs: LandmarkObservation, gains: Gains,
-         dt: float) -> ObserverState:
-    """One synchronous predict-plus-correct cycle.
-
-    The inertial inputs are integrated over ``dt``, the epoch aggregates are
-    evaluated at the predicted state, and the full correction (gravity
-    included) is applied over the same ``dt``.
-    """
-    r = state.nav.r
-    rotvec = np.asarray(omega_m, dtype=float) * dt
-    g0, g1, g2 = _gammas(rotvec)
-    r_y, q_y, _ = _turn(r, state.quat, rotvec, g0, left=False)
-    p_y, v_y = map(np.array, _flow(r, state.nav.p, state.nav.v,
-                                   np.asarray(a_m, dtype=float), g1, g2, dt))
-    # bookkeeping entry of the prediction product, consumed by the correction
-    y54 = dt
-
-    predicted = replace(state, nav=NavState(r_y, p_y, v_y), quat=q_y)
-    corr, sigma, g_hat = _innovate(predicted, lmap, obs, gains, dt)
-
-    w_acc = corr.w_acc.tolist()
-    rotvec_c = np.array([-c * dt for c in corr.w_omega.tolist()])
-    g0c, g1c, g2c = _gammas(rotvec_c)
-    vel_term = (g1c @ np.array([-c * dt for c in corr.w_vel.tolist()])).tolist()
-    acc_term = (g2c @ np.array([c * dt for c in w_acc])).tolist()
-    c5 = (g1c @ np.array([-c * dt for c in w_acc])).tolist()
-    steps = state.steps + 1
-    r_new, q_new, turn = _turn(r_y, q_y, rotvec_c, g0c, left=True, steps=steps)
-    tp = (turn @ p_y).tolist()
-    tv = (turn @ v_y).tolist()
-    p_new = np.array([tp[i] + (vel_term[i] + acc_term[i] * dt) + c5[i] * y54
-                      for i in range(3)])
-    v_new = np.array([tv[i] + c5[i] for i in range(3)])
-    _check_finite(r_new, p_new, v_new, sigma, g_hat)
-    return ObserverState(nav=NavState(r_new, p_new, v_new), sigma_hat=sigma,
-                         g_hat=g_hat, gravity_mode=state.gravity_mode,
-                         steps=steps, quat=q_new)
 
 
 def predict_quaternion(state: ObserverState, omega_m: np.ndarray,
@@ -479,7 +396,8 @@ def error_metrics(x: NavState, state: ObserverState,
                   g_true: np.ndarray = GRAVITY_ENU) -> Metrics:
     """Error metrics of an estimate against the true state."""
     nav = state.nav
-    return Metrics(*map(float, _error_norms(x.r, x.p, x.v, nav.r, nav.p, nav.v,
+    r, r_hat = np.ascontiguousarray(x.r), np.ascontiguousarray(nav.r)
+    return Metrics(*map(float, _error_norms(r, x.p, x.v, r_hat, nav.p, nav.v,
                                             state.g_hat, np.asarray(g_true, dtype=float))))
 
 

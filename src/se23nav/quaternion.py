@@ -103,7 +103,7 @@ def _rot_entries(w, x, y, z) -> list:
 def _turn_right(q, dq) -> tuple[list, list]:
     """``quat_normalize(quat_product(q, dq))`` and the nine entries of its
     :func:`quat_to_rot` matrix, of and as float lists, with both functions'
-    checks and roundings."""
+    checks and roundings.  ``_turn_right(dq, q)`` turns ``q`` from the left."""
     q = _normalized(_product(q, dq))
     w, x, y, z = q
     if abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) > TOL_UNIT:

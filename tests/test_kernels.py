@@ -26,9 +26,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from se23nav import (ADAPTIVE_GRAVITY, MATRIX, QUATERNION, Gains, NavState, ObserverState,
-                     compute_corrections, error_metrics, gravity_step,
-                     sigma_step)
+from se23nav import (ADAPTIVE_GRAVITY, MATRIX, QUATERNION, Gains, LandmarkMap, NavState,
+                     ObserverState, aggregate, compute_corrections, correct, error_metrics,
+                     gravity_step, sigma_step, synthesize_observation)
 from se23nav.liegroup import (SMALL_ANGLE, _SERIES_ANGLE, _cross, _norm,
                               _so3_gammas_rows, nav_error, orthonormalize_rows,
                               skew, so3_distance, so3_gammas, vex_antisym)
@@ -713,23 +713,52 @@ def test_kernels_ignore_memory_layout(q1, q2, w, noise, qs, ws):
             assert same_bits(fn(*map(layout, args)), want)
 
 
-@given(vec4, vec3, vec3, vec3, vec3, vec3, vec3, st.floats(1e-4, 0.2),
-       st.sampled_from((MATRIX, QUATERNION)), st.sampled_from((1, REORTHO_EVERY - 1)))
-def test_predict_ignores_memory_layout(q, p, v, sigma, g, omega, a, dt, representation, steps):
-    state = ObserverState.create(NavState(ref_quat_to_rot(unit(q)), p, v),
-                                 gravity_mode=ADAPTIVE_GRAVITY, g0=g, sigma0=sigma,
-                                 representation=representation)
-    state = dataclasses.replace(state, steps=steps)
-    views = dataclasses.replace(
-        state, nav=NavState(transposed(state.nav.r), strided(p), strided(v)),
-        sigma_hat=strided(sigma), g_hat=strided(g),
+def views_of(state):
+    """``state`` with its attitude F-ordered and every vector a strided view."""
+    nav = state.nav
+    return dataclasses.replace(
+        state, nav=NavState(transposed(nav.r), strided(nav.p), strided(nav.v)),
+        sigma_hat=strided(state.sigma_hat), g_hat=strided(state.g_hat),
         quat=None if state.quat is None else strided(state.quat))
-    assert not views.nav.r.flags.c_contiguous
-    want = predict(state, omega, a, dt)
-    got = predict(views, strided(omega), strided(a), dt)
+
+
+def assert_same_state(got, want):
     for name in ("r", "p", "v"):
         assert same_bits(getattr(got.nav, name), getattr(want.nav, name))
-    assert got.steps == want.steps == steps + 1
+    assert got.steps == want.steps
     assert same_bits(got.sigma_hat, want.sigma_hat) and same_bits(got.g_hat, want.g_hat)
     assert (got.quat is None) == (want.quat is None)
     assert want.quat is None or same_bits(got.quat, want.quat)
+
+
+def assert_same_fields(got, want):
+    for field in dataclasses.fields(want):
+        assert same_bits(getattr(got, field.name), getattr(want, field.name))
+
+
+_LAYOUT_MAP = LandmarkMap(ids=np.arange(1, 7), weights=np.ones(6),
+                          positions=np.random.default_rng(7).uniform(-4.0, 4.0, size=(6, 3)))
+
+
+@given(vec4, vec3, vec3, vec3, vec3, vec3, vec3, st.floats(1e-4, 0.2),
+       st.sampled_from((MATRIX, QUATERNION)), st.sampled_from((1, REORTHO_EVERY - 1)))
+def test_predict_ignores_memory_layout(q, p, v, sigma, g, omega, a, dt, representation, steps):
+    # predict, then correct and its parts and error_metrics at the predicted
+    # state against readings taken at the start: each reads values, not strides
+    state = ObserverState.create(NavState(ref_quat_to_rot(unit(q)), p, v),
+                                 gravity_mode=ADAPTIVE_GRAVITY, representation=representation)
+    state = dataclasses.replace(state, sigma_hat=sigma, g_hat=g, steps=steps)
+    views = views_of(state)
+    assert state.nav.r.flags.c_contiguous and not views.nav.r.flags.c_contiguous
+    want = predict(state, omega, a, dt)
+    assert want.steps == steps + 1
+    assert_same_state(predict(views, strided(omega), strided(a), dt), want)
+    obs = synthesize_observation(state.nav, _LAYOUT_MAP)
+    assert_same_state(correct(views_of(want), _LAYOUT_MAP, obs, Gains(), dt),
+                      correct(want, _LAYOUT_MAP, obs, Gains(), dt))
+    summary = aggregate(_LAYOUT_MAP, obs, want.nav.r, want.nav.p)
+    assert_same_fields(aggregate(_LAYOUT_MAP, obs, transposed(want.nav.r), strided(want.nav.p)),
+                       summary)
+    assert_same_fields(compute_corrections(summary, views_of(want), Gains()),
+                       compute_corrections(summary, want, Gains()))
+    assert_same_fields(error_metrics(views.nav, views_of(want)), error_metrics(state.nav, want))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -17,7 +18,7 @@ from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
                      compute_corrections, correct, correct_quaternion,
                      error_metrics, gravity_step, nav_error, predict,
                      predict_quaternion, quat_to_rot, rodrigues_exp, sigma_step,
-                     so3_distance, step, synthesize_observation)
+                     so3_distance, synthesize_observation)
 from se23nav.liegroup import skew
 from se23nav.measurement import MeasurementSummary
 from se23nav.observer import inject_w_omega_sign_fault, warn_if_unstable
@@ -202,29 +203,6 @@ def test_correct_keeps_step_counter():
     obs = synthesize_observation(truth, lmap)
     st = ObserverState.create(truth)
     assert correct(st, lmap, obs, Gains(), dt=0.05).steps == 0
-    assert step(st, np.zeros(3), np.zeros(3), lmap, obs, Gains(), 0.05).steps == 1
-
-
-def test_synchronous_step_tracks_zero_gravity_flow():
-    # with gravity identically zero the synchronous cycle at zero error is a
-    # fixed point of the error dynamics; truth is propagated independently
-    rng = np.random.default_rng(44)
-    r = random_rotation(rng)
-    p, v = rng.normal(size=3), rng.normal(size=3) * 0.5
-    omega = np.array([0.3, -0.2, 0.5])
-    sf = np.array([0.1, 0.05, -0.08])
-    lmap = _norm_map(rng)
-    zero_g = np.zeros(3)
-    st = ObserverState.create(NavState(r, p, v), g_ref=zero_g)
-    dt = 0.01
-    for _ in range(100):
-        r, p, v = rk4_pose(r, p, v, omega, sf, zero_g, dt, substeps=50)
-        obs = synthesize_observation(NavState(r, p, v), lmap)
-        st = step(st, omega, sf, lmap, obs, Gains(), dt)
-    m = error_metrics(NavState(r, p, v), st, g_true=zero_g)
-    assert m.att < 1e-10
-    assert m.pos < 1e-10
-    assert m.vel < 1e-10
 
 
 def test_attitude_stays_orthonormal_over_long_runs():
@@ -248,14 +226,10 @@ def test_non_finite_inputs_are_rejected():
             predict(st, np.array([np.nan, 0.0, 0.0]), np.zeros(3), 0.01)
     # |omega dt| near 1e104 overflows the cube in the rotation integrals
     omega = np.array([1e106, 0.0, 0.0])
-    lmap = _norm_map(np.random.default_rng(3))
-    obs = synthesize_observation(NavState.identity(), lmap)
     for rep in (MATRIX, QUATERNION):
         st = ObserverState.create(NavState.identity(), representation=rep)
         with pytest.raises(NonFiniteState):
             predict(st, omega, np.zeros(3), 0.01)
-        with pytest.raises(NonFiniteState):
-            step(st, omega, np.zeros(3), lmap, obs, Gains(), 0.01)
 
 
 def test_create_modes_and_guards():
@@ -265,11 +239,7 @@ def test_create_modes_and_guards():
     assert_allclose(known.sigma_hat, np.zeros(3), atol=0)
     adaptive = ObserverState.create(nav, gravity_mode=ADAPTIVE_GRAVITY)
     assert_allclose(adaptive.g_hat, np.zeros(3), atol=0)
-    seeded = ObserverState.create(nav, gravity_mode=ADAPTIVE_GRAVITY,
-                                  g0=np.array([0.0, 0.0, -9.0]),
-                                  sigma0=np.array([1.0, 2.0, 3.0]))
-    assert_allclose(seeded.g_hat, [0.0, 0.0, -9.0], atol=0)
-    assert_allclose(seeded.sigma_hat, [1.0, 2.0, 3.0], atol=0)
+    assert_allclose(adaptive.sigma_hat, np.zeros(3), atol=0)
     with pytest.raises(ModeError):
         ObserverState.create(nav, gravity_mode="frozen")
     with pytest.raises(ValueError):
@@ -338,9 +308,9 @@ def _random_full_state(rng, mode=KNOWN_GRAVITY):
 
 def _quaternion_state(st):
     """``st`` with its attitude kept as a quaternion, built by ``create``."""
-    return ObserverState.create(st.nav, gravity_mode=st.gravity_mode,
-                                g_ref=st.g_hat, g0=st.g_hat,
-                                sigma0=st.sigma_hat, representation=QUATERNION)
+    qs = ObserverState.create(st.nav, gravity_mode=st.gravity_mode,
+                              representation=QUATERNION)
+    return dataclasses.replace(qs, sigma_hat=st.sigma_hat, g_hat=st.g_hat)
 
 
 def _assert_states_match(mstate, qstate, atol):
@@ -363,7 +333,7 @@ def test_quaternion_predict_mirrors_matrix_predict():
                              predict_quaternion(qs, omega, sf, 0.02), 1e-12)
 
 
-def test_quaternion_correct_and_step_mirror_matrix():
+def test_quaternion_correct_mirrors_matrix():
     rng = np.random.default_rng(48)
     lmap = _norm_map(rng)
     for mode in (KNOWN_GRAVITY, ADAPTIVE_GRAVITY):
@@ -376,11 +346,6 @@ def test_quaternion_correct_and_step_mirror_matrix():
             _assert_states_match(correct(st, lmap, obs, Gains(), 0.05),
                                  correct_quaternion(qs, lmap, obs, Gains(), 0.05),
                                  1e-11)
-            omega, sf = rng.normal(size=3), rng.normal(size=3)
-            _assert_states_match(
-                step(st, omega, sf, lmap, obs, Gains(), 0.02),
-                step(qs, omega, sf, lmap, obs, Gains(), 0.02),
-                1e-11)
 
 
 def test_quaternion_prediction_reaches_known_endpoint():
@@ -413,8 +378,7 @@ def test_quaternion_state_matrix_is_its_quaternion_rotation():
             obs = synthesize_observation(truth, lmap)
             omega, sf = rng.normal(size=3), rng.normal(size=3)
             for update in (lambda s: predict(s, omega, sf, 0.02),
-                           lambda s: correct(s, lmap, obs, Gains(), 0.05),
-                           lambda s: step(s, omega, sf, lmap, obs, Gains(), 0.02)):
+                           lambda s: correct(s, lmap, obs, Gains(), 0.05)):
                 qs = update(qs)
                 assert np.array_equal(qs.nav.r, quat_to_rot(qs.quat))
                 mstate = update(mstate)
