@@ -20,6 +20,8 @@ Streams:
   without ground truth (header in :data:`ESTIMATES_HEADER`; strictly
   increasing time)
 
+A malformed file raises for its first faulty line; FORMATS.md orders the rules.
+
 The run configuration is a flat ``key=value`` text file; ``#`` starts a
 comment, blank lines are ignored, unknown or repeated keys are errors.
 """
@@ -27,7 +29,6 @@ comment, blank lines are ignored, unknown or repeated keys are errors.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
@@ -117,87 +118,105 @@ def _parse_float(path, lineno: int, s: str) -> float:
     return v
 
 
-def _lines_after(path, header: str) -> list:
-    """The lines of a file whose first line is exactly ``header``, header
-    included."""
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(path, 1, f"file is empty, expected header {header!r}")
-    if lines[0] != header:
-        raise ParseError(path, 1, f"bad header {lines[0]!r}, expected {header!r}")
-    return lines
+def _or(parse, s: str, default):
+    """``parse(s)``, or ``default`` where that raises ``ValueError``."""
+    try:
+        return parse(s)
+    except ValueError:
+        return default
 
 
-def _records(path, header: str, lines=None):
-    """Yield ``(lineno, fields)`` for every non-blank line after the exact
-    ``header``; each record has as many fields as the header.  ``lines``
-    are the file's lines when already read."""
-    if lines is None:
-        lines = _lines_after(path, header)
-    n = header.count(",") + 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != n:
-            raise ParseError(path, lineno, f"expected {n} fields, got {len(parts)}")
-        yield lineno, parts
+class _Table:
+    """The records after a file's exact ``header`` line as whole columns, and
+    the check of its record rules: ``keys`` holds the first ``ints`` fields of
+    each non-blank line through ``int``, one int64 row per field, ``values``
+    the others through ``float``, one row per record.  A file that does not
+    convert column by column, streamed, is converted field by field, a bad
+    integer flagged in ``bad_keys`` and a bad number read as NaN.  A rule is a
+    mask over records, true where one breaks it, and ``word(lineno, i, fields)``,
+    which raises its error.  Raises :class:`EmptyStream` with ``empty`` when
+    there are no records."""
+
+    def __init__(self, path, header: str, ints: int, empty: str):
+        lines = _read_lines(path)
+        if not lines:
+            raise ParseError(path, 1, f"file is empty, expected header {header!r}")
+        if lines[0] != header:
+            raise ParseError(path, 1, f"bad header {lines[0]!r}, expected {header!r}")
+        body = [line for line in lines[1:] if line]
+        if not body:
+            raise EmptyStream(f"{path}: {empty}")
+        self.path, self.lines, n = path, lines, header.count(",") + 1
+        miscount = np.array([line.count(",") != n - 1 for line in body])
+        try:
+            if miscount.any():
+                raise ValueError("a record has another number of fields than the header")
+            keys = chain.from_iterable(line.split(",", ints)[:ints] for line in body)
+            keys = np.fromiter(map(int, keys), np.int64, len(body) * ints)
+            values = chain.from_iterable(line.split(",")[ints:] for line in body)
+            values = np.fromiter(map(float, values), float, len(body) * (n - ints))
+            self.keys = keys.reshape(-1, ints).T.copy()
+            self.bad_keys = np.zeros(self.keys.shape, bool)
+            self.values = values.reshape(len(body), -1)
+        except (ValueError, OverflowError):
+            def rows():  # streamed again for each column: a list of rows costs 6x the text
+                return ([""] * n if m else line.split(",") for line, m in zip(body, miscount))
+            keys = [[_or(lambda s: _parse_int64(path, 0, s), f[j], None) for f in rows()]
+                    for j in range(ints)]
+            self.keys = np.array([[k or 0 for k in col] for col in keys], np.int64)
+            self.bad_keys = np.array([[k is None for k in col] for col in keys])
+            values = (_or(float, s, math.nan) for f in rows() for s in f[ints:])
+            self.values = np.fromiter(values, float, len(body) * (n - ints)).reshape(len(body), -1)
+        self.count = self.rule(miscount, ParseError,
+                               lambda i, f: f"expected {n} fields, got {len(f)}")
+        self.finite = (~np.isfinite(self.values).all(axis=1), lambda lineno, i, f: [
+            _parse_float(path, lineno, s) for s in f[ints:]])  # raises at the first bad one
+
+    def key(self, j: int):
+        """Rule: integer field ``j`` is in the signed 64-bit range."""
+        path = self.path
+        return self.bad_keys[j], lambda lineno, i, f: _parse_int64(path, lineno, f[j])
+
+    def rule(self, mask, error, message):
+        """Rule: ``mask``, worded as ``error`` with ``message(i, fields)``."""
+        path = self.path  # a word holding self would keep the file's lines in a cycle
+
+        def word(lineno, i, f):
+            raise error(path, lineno, message(i, f))
+        return mask, word
+
+    def check(self, *rules) -> None:
+        """Raise for the first record in file order that breaks a rule,
+        through the first of ``rules`` it breaks."""
+        bad = np.logical_or.reduce([mask for mask, _ in rules])
+        if bad.any():
+            i = int(bad.argmax())
+            lineno = [k for k, line in enumerate(self.lines[1:], 2) if line][i]
+            f = self.lines[lineno - 1].split(",")
+            for mask, word in rules:
+                if mask[i]:
+                    word(lineno, i, f)
 
 
-def _columns(lines, header: str, ints: int):
-    """The records after the ``header`` line as whole columns: the first
-    ``ints`` fields of every non-blank line through ``int`` as an int64
-    array of that many columns, the others through ``float``.  Raises
-    ``ValueError`` or ``OverflowError`` when a field does not convert or a
-    line has another number of fields than the header.
-
-    Each loader tries this first and checks the columns; only when they fail
-    does it run its row loop, the code that words the error."""
-    body = [line for line in lines[1:] if line]
-    n = header.count(",") + 1
-
-    def values():
-        for line in body:
-            f = line.split(",")
-            if len(f) != n:
-                raise ValueError(line)
-            yield from f[ints:]
-
-    keys = chain.from_iterable(line.split(",", ints)[:ints] for line in body)
-    keys = np.fromiter(map(int, keys), np.int64, len(body) * ints)
-    return (keys.reshape(-1, ints).T.copy(),
-            np.fromiter(map(float, values()), float, len(body) * (n - ints)).reshape(len(body), -1))
+def _repeats(*keys) -> np.ndarray:
+    """True at each record whose ``keys`` an earlier record has."""
+    order = np.lexsort(keys[::-1])  # stable: equal keys keep file order
+    same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys])
+    out = np.zeros(order.size, bool)
+    out[order[1:][same]] = True
+    return out
 
 
 def _timed_records(path, header: str, what: str):
     """The times (an int64 array) and the numbers (an ``(n, k)`` array) of a
     time-stamped stream: int64 time that strictly increases, then finite
     numbers.  Raises :class:`EmptyStream` when there are no records."""
-    lines = _lines_after(path, header)
-    try:
-        (times,), values = _columns(lines, header, 1)
-        if times.size and (times[1:] > times[:-1]).all() and np.isfinite(values).all():
-            return times, values
-    except (ValueError, OverflowError):
-        pass
-    times, values = [], array("d")  # packed doubles: a list of lists costs 4x
-    for lineno, f in _records(path, header, lines):
-        t = _parse_int64(path, lineno, f[0])
-        if times and t <= times[-1]:
-            raise NonMonotonicTime(path, lineno,
-                                   f"time {t} does not increase past {times[-1]}")
-        try:
-            row = [float(s) for s in f[1:]]
-        except ValueError:
-            row = [math.nan]
-        if not all(map(math.isfinite, row)):
-            for s in f[1:]:
-                _parse_float(path, lineno, s)  # words the error
-        times.append(t)
-        values.extend(row)
-    if not times:
-        raise EmptyStream(f"{path}: no {what} records")
-    return np.array(times, dtype=np.int64), np.array(values).reshape(len(times), -1)
+    tab = _Table(path, header, 1, f"no {what} records")
+    t = tab.keys[0]
+    order = tab.rule(np.r_[False, t[1:] <= t[:-1]], NonMonotonicTime,
+                     lambda i, f: f"time {t[i]} does not increase past {t[i - 1]}")
+    tab.check(tab.count, tab.key(0), order, tab.finite)
+    return t, tab.values
 
 
 # ---------------------------------------------------------------------------
@@ -260,66 +279,27 @@ def load_truth_csv(path) -> TruthStream:
 
 
 def load_map_csv(path) -> LandmarkMap:
-    lines = _lines_after(path, MAP_HEADER)
-    try:
-        (ids,), v = _columns(lines, MAP_HEADER, 1)
-        if (ids.size and np.isfinite(v).all() and (v[:, 3] > 0.0).all()
-                and np.unique(ids).size == ids.size):
-            return LandmarkMap(ids=ids, positions=v[:, :3].copy(), weights=v[:, 3].copy())
-    except (ValueError, OverflowError):
-        pass
-    ids, pts, wts, seen = [], [], [], set()
-    for lineno, f in _records(path, MAP_HEADER, lines):
-        i = _parse_int64(path, lineno, f[0])
-        pts.append([_parse_float(path, lineno, s) for s in f[1:4]])
-        w = _parse_float(path, lineno, f[4])
-        if w <= 0.0:
-            raise ParseError(path, lineno, f"weight must be positive, got {w!r}")
-        if i in seen:
-            raise ParseError(path, lineno, "duplicate landmark ids")
-        seen.add(i)
-        ids.append(i)
-        wts.append(w)
-    if not ids:
-        raise EmptyStream(f"{path}: no landmarks")
-    return LandmarkMap(ids=np.array(ids), positions=np.array(pts),
-                       weights=np.array(wts))
+    tab = _Table(path, MAP_HEADER, 1, "no landmarks")
+    (ids,), v = tab.keys, tab.values
+    weight = tab.rule(v[:, 3] <= 0.0, ParseError,
+                      lambda i, f: f"weight must be positive, got {float(v[i, 3])!r}")
+    repeat = tab.rule(_repeats(ids), ParseError, lambda i, f: "duplicate landmark ids")
+    tab.check(tab.count, tab.key(0), tab.finite, weight, repeat)
+    return LandmarkMap(ids=ids, positions=v[:, :3].copy(), weights=v[:, 3].copy())
 
 
 def load_obs_csv(path) -> list[tuple[int, LandmarkObservation]]:
     """Epochs from the long observation format; equal-time rows group."""
-    lines = _lines_after(path, OBS_HEADER)
-    try:
-        (t, ids), points = _columns(lines, OBS_HEADER, 2)
-        # an epoch is a run of equal times, in which no id may repeat
-        starts = np.flatnonzero(np.diff(t)) + 1
-        by_id = np.lexsort((ids, t))
-        t_s, ids_s = t[by_id], ids[by_id]
-        if (t.size and (t[1:] >= t[:-1]).all() and np.isfinite(points).all()
-                and not ((t_s[1:] == t_s[:-1]) & (ids_s[1:] == ids_s[:-1])).any()):
-            return [(t0, LandmarkObservation(ids=i, points=y.copy())) for t0, i, y in zip(
-                t[np.r_[0, starts]].tolist(), np.split(ids, starts), np.split(points, starts))]
-    except (ValueError, OverflowError):
-        pass
-    epochs: list[tuple[int, list, list]] = []
-    for lineno, f in _records(path, OBS_HEADER, lines):
-        t = _parse_int64(path, lineno, f[0])
-        if epochs and t < epochs[-1][0]:
-            raise NonMonotonicTime(path, lineno,
-                                   f"time {t} goes back past {epochs[-1][0]}")
-        if not epochs or t != epochs[-1][0]:
-            ids, pts = [], []
-            epochs.append((t, ids, pts))
-        i = _parse_int64(path, lineno, f[1])
-        if i in ids:
-            raise ParseError(path, lineno, f"landmark id {i} repeated within "
-                             f"the epoch at {t} ns")
-        ids.append(i)
-        pts.append([_parse_float(path, lineno, s) for s in f[2:5]])
-    if not epochs:
-        raise EmptyStream(f"{path}: no observation records")
-    return [(t, LandmarkObservation(ids=np.array(ids), points=np.array(pts)))
-            for t, ids, pts in epochs]
+    tab = _Table(path, OBS_HEADER, 2, "no observation records")
+    (t, ids), points = tab.keys, tab.values
+    order = tab.rule(np.r_[False, t[1:] < t[:-1]], NonMonotonicTime,
+                     lambda i, f: f"time {t[i]} goes back past {t[i - 1]}")
+    repeat = tab.rule(_repeats(t, ids), ParseError, lambda i, f:
+                      f"landmark id {ids[i]} repeated within the epoch at {t[i]} ns")
+    tab.check(tab.count, tab.key(0), order, tab.key(1), repeat, tab.finite)
+    starts = np.flatnonzero(t[1:] != t[:-1]) + 1
+    return [(t0, LandmarkObservation(ids=i, points=y.copy())) for t0, i, y in zip(
+        t[np.r_[0, starts]].tolist(), np.split(ids, starts), np.split(points, starts))]
 
 
 def _record(t_ns, errors, v: np.ndarray) -> RunResult:

@@ -90,6 +90,7 @@ class LandmarkMap:
         """The terms of :func:`aggregate` that depend only on the survey and
         the observed ``ids``: their weights as a column, the total weight,
         the centroid, the weighted offsets ``sd``, the scatter and its trace.
+        :func:`check_configuration` reads the scatter of all the ids.
 
         The terms of the last id set are kept, keyed by its bytes; like
         ``_sorted_ids`` this relies on the survey's arrays never changing.
@@ -275,12 +276,7 @@ def check_configuration(lmap: LandmarkMap) -> ConfigReport:
     must exceed :data:`TOL_EIG` times the largest scatter eigenvalue.
     """
     n = len(lmap)
-    s = lmap.weights
-    p = lmap.positions
-    s_t = float(s.sum())
-    centroid = (s[:, None] * p).sum(axis=0) / s_t
-    d = p - centroid
-    scatter = (s[:, None] * d).T @ d
+    scatter = lmap._observed(lmap.ids)[4]  # the whole survey's weighted scatter
     lam = sym3_eigvals(scatter)
     min_pair = float(lam[0] + lam[1])
     max_pair = float(lam[1] + lam[2])

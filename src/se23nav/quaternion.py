@@ -5,7 +5,7 @@ first.  The product convention is chosen so that the rotation map is a
 homomorphism: ``quat_to_rot(quat_product(a, b)) == quat_to_rot(a) @ quat_to_rot(b)``.
 
 The kernels the propagation law runs on every step (``quat_product``,
-``quat_normalize``, ``quat_to_rot``, ``quat_from_rotvec`` and
+``_normalized``, ``quat_to_rot``, ``quat_from_rotvec`` and
 ``_turn_right``, which chains the first three) compute in plain floats,
 with no numpy product: every inner product and squared norm is an explicit
 sum in index order, ``w*w + x*x + y*y + z*z`` evaluated left to right.  A
@@ -53,10 +53,6 @@ def _normalized(q) -> list:
     return [w / n, x / n, y / n, z / n]
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return np.array(_normalized(np.asarray(q, dtype=float).tolist()))
-
-
 def quat_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Quaternion product; scalar part ``w1 w2 - v1 . v2``."""
     return np.array(_product(np.asarray(q1, dtype=float).tolist(),
@@ -101,9 +97,9 @@ def _rot_entries(w, x, y, z) -> list:
 
 
 def _turn_right(q, dq) -> tuple[list, list]:
-    """``quat_normalize(quat_product(q, dq))`` and the nine entries of its
-    :func:`quat_to_rot` matrix, of and as float lists, with both functions'
-    checks and roundings.  ``_turn_right(dq, q)`` turns ``q`` from the left."""
+    """``_normalized(_product(q, dq))`` and the nine entries of its
+    :func:`quat_to_rot` matrix, of and as float lists, with the checks and
+    roundings of both.  ``_turn_right(dq, q)`` turns ``q`` from the left."""
     q = _normalized(_product(q, dq))
     w, x, y, z = q
     if abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) > TOL_UNIT:

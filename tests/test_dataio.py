@@ -4,6 +4,7 @@ validation."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -13,8 +14,8 @@ from numpy.testing import assert_allclose
 from se23nav import (Gains, InitError, InsufficientLandmarks,
                      LandmarkObservation, NoiseSpec, TrajectorySpec,
                      UnknownLandmarkId, check_configuration, dataio)
-from se23nav.dataio import (BOTH_GRAVITY, ESTIMATES_HEADER, METRICS_HEADER,
-                            TRUTH_HEADER,
+from se23nav.dataio import (BOTH_GRAVITY, ESTIMATES_HEADER, IMU_HEADER, MAP_HEADER,
+                            METRICS_HEADER, OBS_HEADER, TRUTH_HEADER,
                             EmptyStream, NonMonotonicTime, ParseError,
                             RunConfig, ValidationError, align,
                             config_override, config_to_scenario,
@@ -263,9 +264,53 @@ def test_parse_errors_carry_path_and_line(tmp_path):
         n = header.count(",") + 1
         assert str(ei.value) == f"{p}:3: expected {n} fields, got {n + 1}"
 
+    # within a line: count, key, its order, then numbers for the time-stamped
+    # streams; count, id, numbers, weight, uniqueness for the map; count,
+    # time, its order, id, its repeat, numbers for the observations
+    for text, load, error, message in (
+            (f"{OBS_HEADER}\n5,0,0,0,0\n4,x,0,0,0\n", load_obs_csv, NonMonotonicTime,
+             "3: time 4 goes back past 5"),
+            (f"{OBS_HEADER}\n5,0,0,0,0\n5,0,nan,0,0\n", load_obs_csv, ParseError,
+             "3: landmark id 0 repeated within the epoch at 5 ns"),
+            (f"{OBS_HEADER}\n5,0,0,0,0\n4,1,0,0\n", load_obs_csv, ParseError,
+             "3: expected 5 fields, got 4"),
+            (f"{MAP_HEADER}\n1,0,0,0,1\n1,0,0,0,0\n", load_map_csv, ParseError,
+             "3: weight must be positive, got 0.0"),
+            (f"{MAP_HEADER}\n1,0,0,0,1\n1,inf,0,0,1\n", load_map_csv, ParseError,
+             "3: non-finite number 'inf'"),
+            (f"{IMU_HEADER}\n{2 ** 70},oops,0,0,0,0,0\n", load_imu_csv, ParseError,
+             f"2: integer '{2 ** 70}' is outside the signed 64-bit range")):
+        p.write_text(text)
+        with pytest.raises(error) as ei:
+            load(p)
+        assert type(ei.value) is error and str(ei.value) == f"{p}:{message}"
+
     with pytest.raises(OSError) as ei:
         load_imu_csv(tmp_path / "missing.csv")
     assert "cannot read" in str(ei.value)
+
+
+def test_loaders_leave_no_reference_cycle(tmp_path):
+    # a cycle would keep each file's text alive until the next collection
+    # and raise the peak memory of a replay
+    p = tmp_path / "f.csv"
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for header, load in ((IMU_HEADER, load_imu_csv), (TRUTH_HEADER, load_truth_csv),
+                             (MAP_HEADER, load_map_csv), (OBS_HEADER, load_obs_csv),
+                             (METRICS_HEADER, load_metrics_csv),
+                             (ESTIMATES_HEADER, load_estimates_csv)):
+            row = ",".join(["1"] * header.count(","))
+            p.write_text(f"{header}\n0,{row}\n1,{row}\n")
+            load(p)  # a first call may import lazily
+            gc.collect()
+            load(p)
+            assert gc.collect() == 0, load.__name__
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_align_event_ordering():
