@@ -7,9 +7,8 @@ per-axis bound on the rate-noise covariance, and can estimate gravity
 online when it is not known.
 """
 
-from .liegroup import (NavState, NavTangent, NotSkewSymmetric, nav_error,
-                       rodrigues_exp, se23_exp, skew, so3_distance,
-                       so3_gammas, vex, vex_antisym)
+from .liegroup import (NavState, NavTangent, nav_error, rodrigues_exp,
+                       se23_exp, skew, so3_distance, so3_gammas, vex_antisym)
 from .measurement import (ConfigReport, InsufficientLandmarks, LandmarkMap,
                           LandmarkObservation, MeasurementSummary,
                           UnknownLandmarkId, aggregate, check_configuration,
@@ -35,8 +34,8 @@ __all__ = [
     "ImuSample", "ImuStream", "InitError", "InsufficientLandmarks", "KNOWN_GRAVITY",
     "LandmarkMap", "LandmarkObservation", "MATRIX", "MeasurementSummary",
     "Metrics", "ModeError", "NavState", "NavTangent", "NoiseSpec",
-    "NonFiniteState", "NonUnitQuaternion", "NotSkewSymmetric",
-    "ObserverState", "QUATERNION", "RunResult", "Scenario", "TrajectorySpec",
+    "NonFiniteState", "NonUnitQuaternion", "ObserverState", "QUATERNION",
+    "RunResult", "Scenario", "TrajectorySpec",
     "TruthSample", "TruthStream", "UnknownLandmarkId", "UnstableSetWarning", "aggregate",
     "apply_init_error", "build_streams", "check_configuration",
     "compute_corrections", "correct", "correct_quaternion",
@@ -46,5 +45,5 @@ __all__ = [
     "rodrigues_exp", "rot_to_quat", "run_closed_loop", "run_scenario",
     "se23_exp", "sigma_step", "skew", "so3_distance",
     "so3_gammas", "summarize",
-    "synthesize_observation", "vex", "vex_antisym",
+    "synthesize_observation", "vex_antisym",
 ]

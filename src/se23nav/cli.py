@@ -25,8 +25,7 @@ import numpy as np
 
 from . import dataio
 from .liegroup import NavState, NavTangent, rodrigues_exp, se23_exp
-from .measurement import (InsufficientLandmarks, UnknownLandmarkId,
-                          check_configuration, sym3_eigvals)
+from .measurement import InsufficientLandmarks, UnknownLandmarkId, check_configuration
 from .observer import (MATRIX, QUATERNION, ModeError, NonFiniteState,
                        ObserverState, inject_w_omega_sign_fault, predict)
 from .quaternion import NonUnitQuaternion, quat_from_rotvec, quat_to_rot
@@ -128,12 +127,8 @@ def _load_map(cfg: dataio.RunConfig, config_path: str | None):
 def _require_usable_map(lmap) -> None:
     report = check_configuration(lmap)
     if not report.ok:
-        raise _AssumptionViolation(
+        raise InsufficientLandmarks(
             f"landmark configuration is unusable: {report.reason}")
-
-
-class _AssumptionViolation(RuntimeError):
-    pass
 
 
 # Exit code of each anticipated failure, per phase of a run; first match wins.
@@ -142,7 +137,7 @@ _CONFIG_FAILURES = (((dataio.ParseError, dataio.ValidationError), EXIT_CONFIG),
 _INPUT_FAILURES = (((InsufficientLandmarks, UnknownLandmarkId), EXIT_RUNTIME),
                    ((dataio.ParseError, dataio.EmptyStream, OSError, ValueError),
                     EXIT_IO))
-_RUN_FAILURES = (((_AssumptionViolation,) + _RUNTIME_ERRORS, EXIT_RUNTIME),
+_RUN_FAILURES = ((_RUNTIME_ERRORS, EXIT_RUNTIME),
                  (OSError, EXIT_IO),
                  (ValueError, EXIT_RUNTIME))
 
@@ -289,7 +284,7 @@ def _sample_projection_bounds(n: int, rng) -> tuple[int, int]:
     cen = np.einsum("nk,nkj->nj", w, pos) / w.sum(axis=1)[:, None]
     d = pos - cen[:, None, :]
     scatter = np.einsum("nk,nki,nkj->nij", w, d, d)
-    lam = sym3_eigvals(scatter)
+    lam = np.linalg.eigvalsh(scatter)
     valid = lam[:, 0] + lam[:, 1] > 1e-9 * lam[:, 2]
 
     q = rng.normal(size=(n, 4))

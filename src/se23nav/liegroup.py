@@ -43,7 +43,9 @@ the same dot as ``x.dot(x)``, and never ``np.einsum``; sines and cosines are
 ``np.sin`` and ``np.cos`` on arrays; a branch is taken per row with
 ``np.where`` over both branches' elementwise terms, which round as the
 floats do; and a Python float power (``theta ** 3``) is evaluated per
-element, since numpy's array power rounds differently.
+element, since numpy's array power rounds differently, by ``_cube``, the one
+overflow rule of both forms.  So every row matches, overflowing rows
+included.
 """
 
 from __future__ import annotations
@@ -53,16 +55,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Frobenius tolerance for treating a matrix as skew symmetric.
-TOL_SKEW = 1e-9
 # Below this rotation angle (rad) closed-form coefficients switch to series.
 SMALL_ANGLE = 1e-8
 # Threshold for the cancellation-prone third/fourth integral coefficients.
 _SERIES_ANGLE = 0.1
-
-
-class NotSkewSymmetric(ValueError):
-    """Raised when ``vex`` is applied to a matrix that is not skew symmetric."""
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -83,22 +79,10 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x.dot(x)))
 
 
-def vex(s: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`skew`.
-
-    Raises
-    ------
-    NotSkewSymmetric
-        If ``s + s.T`` exceeds ``TOL_SKEW`` in Frobenius norm.
-    """
-    s = np.asarray(s, dtype=float)
-    if np.linalg.norm(s + s.T) > TOL_SKEW:
-        raise NotSkewSymmetric("input is not skew symmetric within tolerance")
-    return np.array([s[2, 1], s[0, 2], s[1, 0]])
-
-
 def vex_antisym(a: np.ndarray) -> np.ndarray:
-    """``vex`` of the anti-symmetric projection of an arbitrary 3x3 matrix."""
+    """The axis of the anti-symmetric projection ``(a - a.T) / 2`` of a 3x3
+    matrix; on ``skew(x)`` it returns ``x`` exactly, so it is the inverse of
+    :func:`skew`."""
     (_, a01, a02), (a10, _, a12), (a20, a21, _) = np.asarray(a, dtype=float).tolist()
     return np.array([0.5 * (a21 - a12), 0.5 * (a02 - a20), 0.5 * (a10 - a01)])
 
@@ -147,18 +131,27 @@ def _rot_coeffs(theta: float) -> tuple[float, float]:
     return c0, c1
 
 
+def _cube(t: float) -> float:
+    """``t ** 3``, NaN where the power overflows."""
+    try:
+        return t ** 3
+    except OverflowError:
+        return math.nan
+
+
 def _int_coeffs(theta: float) -> tuple[float, float]:
     """Second/third integral coefficients (t-sin t)/t^3 and (t^2/2+cos t-1)/t^4.
 
     Direct evaluation cancels catastrophically for small angles, so a short
-    even series is used below ``_SERIES_ANGLE``.
+    even series is used below ``_SERIES_ANGLE``.  Where ``theta ** 3``
+    overflows both coefficients are NaN.
     """
     if theta < _SERIES_ANGLE:
         t2 = theta * theta
         c2 = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 * t2 * t2 / 362880.0
         c3 = 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0 - t2 * t2 * t2 / 3628800.0
         return c2, c3
-    t3 = theta ** 3
+    t3 = _cube(theta)
     c2 = (theta - float(np.sin(theta))) / t3
     c3 = (0.5 * theta * theta + float(np.cos(theta)) - 1.0) / (t3 * theta)
     return c2, c3
@@ -185,6 +178,8 @@ def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(G0, G1, G2)`` where ``G0 = exp(skew(w))``,
     ``G1 = int_0^1 exp(s skew(w)) ds`` and ``G2 = int_0^1 (1-s) exp(s skew(w)) ds``.
     These are the blocks of the closed-form flow in ``observer.predict``.
+    ``G1`` and ``G2`` are NaN where ``theta ** 3`` overflows; the observer's
+    finiteness checks report them.
     """
     w = np.asarray(w, dtype=float)
     theta = _norm(w)
@@ -198,20 +193,10 @@ def so3_gammas(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             _skew_quadratic(0.5, c2, c3, wl, s2))
 
 
-def _cube(t: float) -> float:
-    """``t ** 3``, NaN where the power overflows."""
-    try:
-        return t ** 3
-    except OverflowError:
-        return math.nan
-
-
 def _so3_gammas_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`so3_gammas` of every row of a ``(..., 3)`` array: three
-    ``(..., 3, 3)`` stacks, each row bit for bit the one-row result.
-
-    A row on which the one-row kernel raises ``OverflowError`` (its
-    ``theta ** 3`` overflows) gets NaN ``G1`` and ``G2``.
+    ``(..., 3, 3)`` stacks, each row bit for bit the one-row result, NaN
+    ``G1`` and ``G2`` where ``theta ** 3`` overflows included.
     """
     w = np.asarray(w, dtype=float)
     x, y, z = np.moveaxis(w, -1, 0)

@@ -228,63 +228,27 @@ def aggregate(lmap: LandmarkMap, obs: LandmarkObservation,
                               pos_innovation=pos_innovation, att_dist=att_dist)
 
 
-def sym3_eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of symmetric 3x3 matrices, ascending, by closed form.
-
-    Accepts a single matrix or a batch ``(..., 3, 3)``.  Deterministic
-    (trigonometric solution of the characteristic polynomial, no iteration),
-    which keeps degenerate-survey detection reproducible across platforms.
-    """
-    m = np.asarray(m, dtype=float)
-    single = m.ndim == 2
-    a = m.reshape((-1, 3, 3))
-    a00, a11, a22 = a[:, 0, 0], a[:, 1, 1], a[:, 2, 2]
-    a01, a02, a12 = a[:, 0, 1], a[:, 0, 2], a[:, 1, 2]
-    p1 = a01 ** 2 + a02 ** 2 + a12 ** 2
-    q = (a00 + a11 + a22) / 3.0
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
-    p = np.sqrt(np.maximum(p2 / 6.0, 0.0))
-    safe = p > 0.0
-    pinv = np.where(safe, 1.0 / np.where(safe, p, 1.0), 0.0)
-    b00 = (a00 - q) * pinv
-    b11 = (a11 - q) * pinv
-    b22 = (a22 - q) * pinv
-    b01 = a01 * pinv
-    b02 = a02 * pinv
-    b12 = a12 * pinv
-    detb = (b00 * (b11 * b22 - b12 * b12)
-            - b01 * (b01 * b22 - b12 * b02)
-            + b02 * (b01 * b12 - b11 * b02))
-    r = np.clip(detb / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    e1 = q + 2.0 * p * np.cos(phi)
-    e3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    e2 = 3.0 * q - e1 - e3
-    out = np.sort(np.stack([e1, e2, e3], axis=-1), axis=-1)
-    out = np.where(safe[:, None], out, np.stack([q, q, q], axis=-1))
-    if single:
-        return out[0]
-    return out.reshape(m.shape[:-2] + (3,))
-
-
 def check_configuration(lmap: LandmarkMap) -> ConfigReport:
     """Decide whether a survey supports full attitude recovery.
 
     The survey must contain at least three landmarks whose weighted scatter
     matrix has at most one negligible eigenvalue: the smallest eigenvalue of
     the trace-complement (the sum of the two smallest scatter eigenvalues)
-    must exceed :data:`TOL_EIG` times the largest scatter eigenvalue.
+    must exceed :data:`TOL_EIG` times the largest scatter eigenvalue.  The
+    eigenvalues come from LAPACK (``np.linalg.eigvalsh``).  A scatter whose
+    entries overflow gets NaN eigenvalues, and such a survey is rejected.
     """
     n = len(lmap)
     scatter = lmap._observed(lmap.ids)[4]  # the whole survey's weighted scatter
-    lam = sym3_eigvals(scatter)
+    # LAPACK can fail to converge on an infinite entry
+    lam = np.linalg.eigvalsh(scatter) if np.isfinite(scatter).all() else np.full(3, np.nan)
     min_pair = float(lam[0] + lam[1])
     max_pair = float(lam[1] + lam[2])
     if n < 3:
         return ConfigReport(n, lam, min_pair, max_pair, False,
                             f"only {n} landmark(s); at least 3 are required")
     floor = TOL_EIG * max(float(lam[2]), np.finfo(float).tiny)
-    if min_pair <= floor:
+    if not min_pair > floor:  # NaN eigenvalues fail the comparison
         return ConfigReport(n, lam, min_pair, max_pair, False,
                             "landmarks are collinear within tolerance")
     return ConfigReport(n, lam, min_pair, max_pair, True)

@@ -234,14 +234,6 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise NonFiniteState("observer state left the finite range")
 
 
-def _gammas(rotvec: np.ndarray):
-    """:func:`so3_gammas`; an overflow raises :class:`NonFiniteState`."""
-    try:
-        return so3_gammas(rotvec)
-    except OverflowError:
-        raise NonFiniteState("observer state left the finite range") from None
-
-
 def _advance(r: list, p: list, v: list, g: list, quat: list | None, steps: int,
              turn: list, g12a: list, dt: float) -> tuple[list, list, list, list | None]:
     """The propagation law: one inertial step of a flat state.
@@ -311,7 +303,7 @@ def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
     with exact inputs a zero-error state stays at zero error.
     """
     rotvec = np.asarray(omega_m, dtype=float) * dt
-    g0, g1, g2 = _gammas(rotvec)
+    g0, g1, g2 = so3_gammas(rotvec)
     a = np.asarray(a_m, dtype=float)
     quat = state.quat
     turn = g0 if quat is None else quat_from_rotvec(rotvec)
@@ -341,7 +333,7 @@ def correct(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
     if state.gravity_mode == ADAPTIVE_GRAVITY:
         g_hat = gravity_step(state, corr, summary, gains, dt)
     rotvec = np.array([-c * dt for c in corr.w_omega.tolist()])
-    g0c, g1c, _ = _gammas(rotvec)
+    g0c, g1c, _ = so3_gammas(rotvec)
     # the attitude turns by exp(rotvec) from the left; p and v turn with it
     if state.quat is None:
         r_new, q_new, turn = g0c @ np.ascontiguousarray(state.nav.r), None, g0c

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import se23nav
 from se23nav.cli import main
 from se23nav.dataio import (_CONFIG_KEYS, load_estimates_csv, load_metrics_csv,
                             parse_config)
@@ -203,6 +205,22 @@ def test_degenerate_maps_exit_3(tmp_path, capsys):
     assert main(["simulate", "--config", str(conf),
                  "--out-dir", str(tmp_path / "r3")]) == 3
     assert "collinear" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x, y", [("e150", ""), ("", "e200")])
+def test_maps_stretched_past_the_float_range_exit_3(tmp_path, capsys, x, y):
+    # x by 1e150: the scatter is finite, its squares are not; y by 1e200: the
+    # scatter overflows too
+    corners = ((0.8, 1.2, 0.5), (9.2, 1.8, 1.1), (8.9, 9.1, 0.7), (1.1, 8.6, 1.4))
+    (tmp_path / "map.csv").write_text("id,px,py,pz,s\n" + "".join(
+        f"{i},{px}{x},{py}{y},{pz},1.0\n" for i, (px, py, pz) in enumerate(corners, 1)))
+    conf = write_conf(tmp_path / "run.conf", map_file="map.csv")
+    out = tmp_path / "run"
+    argv = ["simulate", "--config", str(conf), "--out-dir", str(out)]
+    assert _main_without_runtime_warnings(argv) == 3
+    assert ("error: landmark configuration is unusable: landmarks are collinear "
+            "within tolerance") in capsys.readouterr().err
+    assert list(out.glob("*")) == []
 
 
 def test_replay_rejects_unknown_landmark_id(tmp_path, capsys):
@@ -401,7 +419,11 @@ def test_simulate_of_hostile_config_never_raises(edits):
 def test_console_entry_point_smoke():
     script = shutil.which("se23nav")
     cmd = [script] if script else [sys.executable, "-m", "se23nav.cli"]
-    proc = subprocess.run(cmd + ["selftest", "--quick"],
+    # the module fallback runs the package under test, wherever it was imported from
+    root = str(Path(se23nav.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = None if script else {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(cmd + ["selftest", "--quick"], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest passed" in proc.stdout

@@ -614,11 +614,9 @@ def test_batched_kernels_at_the_series_switches_and_signed_zeros():
 
 def test_batched_gammas_mark_an_overflowing_row():
     rows = np.array([[1e103, 0.0, 0.0], [0.1, 0.2, 0.3]])
-    with pytest.raises(OverflowError):
-        so3_gammas(rows[0])
     g0, g1, g2 = _so3_gammas_rows(rows)
     assert np.isnan(g1[0]).all() and np.isnan(g2[0]).all()
-    check_rows_match(rows[1:])
+    check_rows_match(rows)
 
 
 @given(vec4, vec3)

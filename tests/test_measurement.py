@@ -12,7 +12,6 @@ from se23nav import (InsufficientLandmarks, LandmarkMap, LandmarkObservation,
                      NavState, Scenario, UnknownLandmarkId, aggregate,
                      check_configuration, default_landmark_map, default_scenario,
                      rodrigues_exp, synthesize_observation)
-from se23nav.measurement import sym3_eigvals
 
 
 def _random_map(rng, n=5):
@@ -234,26 +233,6 @@ def test_landmark_map_validation():
                     weights=np.ones(2))
 
 
-def test_sym3_eigvals_against_lapack():
-    rng = np.random.default_rng(37)
-    mats = []
-    for _ in range(1000):
-        a = rng.normal(size=(3, 3))
-        mats.append(a + a.T)
-    mats = np.array(mats)
-    got = sym3_eigvals(mats)
-    ref = np.linalg.eigvalsh(mats)
-    assert np.max(np.abs(got - ref)) < 1e-10
-    # single-matrix call and exact multiples of the identity
-    assert_allclose(sym3_eigvals(2.5 * np.eye(3)), [2.5, 2.5, 2.5], atol=0)
-    assert_allclose(sym3_eigvals(np.zeros((3, 3))), np.zeros(3), atol=0)
-    # rank-one scatter (collinear geometry) keeps two zero eigenvalues
-    v = np.array([1.0, 2.0, -1.0])
-    lam = sym3_eigvals(np.outer(v, v))
-    assert abs(lam[0]) < 1e-12 and abs(lam[1]) < 1e-12
-    assert abs(lam[2] - v @ v) < 1e-12
-
-
 def test_check_configuration_reports():
     rng = np.random.default_rng(38)
     good = _random_map(rng, n=6)
@@ -284,6 +263,60 @@ def test_check_configuration_reports():
                          positions=line.positions + rng.normal(size=(4, 3)) * 1e-3,
                          weights=line.weights)
     assert check_configuration(almost).ok
+
+
+def _survey(positions):
+    n = len(positions)
+    return LandmarkMap(ids=np.arange(1, n + 1), positions=np.asarray(positions, dtype=float),
+                       weights=np.ones(n))
+
+
+COLLINEAR = "landmarks are collinear within tolerance"
+
+
+def test_check_configuration_on_degenerate_scatters():
+    # a scatter that is a multiple of the identity: +-e_i give 2 I
+    rep = check_configuration(_survey(np.vstack([np.eye(3), -np.eye(3)])))
+    assert rep.ok
+    assert_allclose(rep.eigenvalues, [2.0, 2.0, 2.0], atol=0)
+    # coincident landmarks: a zero scatter
+    rep = check_configuration(_survey(np.tile([1.0, -2.0, 0.5], (3, 1))))
+    assert not rep.ok and rep.reason == COLLINEAR
+    assert_allclose(rep.eigenvalues, np.zeros(3), atol=0)
+    # -v, 0, v: the rank-one scatter 2 v v^T keeps two zero eigenvalues
+    v = np.array([1.0, 2.0, -1.0])
+    rep = check_configuration(_survey([-v, 0.0 * v, v]))
+    assert not rep.ok and rep.reason == COLLINEAR
+    lam = rep.eigenvalues
+    assert abs(lam[0]) < 1e-12 and abs(lam[1]) < 1e-12
+    assert abs(lam[2] - 2.0 * (v @ v)) < 1e-12
+
+
+def test_check_configuration_keeps_a_double_zero_eigenvalue_of_a_line():
+    s = np.array([0.0, 1.0, 2.5, 4.0])
+    line = np.array([1.0, 2.0, 3.0]) + np.outer(s, [0.3, -0.7, 0.2])
+    rep = check_configuration(_survey(line))
+    assert not rep.ok and rep.reason == COLLINEAR
+    lam = rep.eigenvalues
+    assert abs(lam[0]) <= 1e-12 * lam[2] and abs(lam[1]) <= 1e-12 * lam[2]
+
+
+# four low corners of the reference survey, far from collinear at unit scale
+_CORNERS = np.array([[0.8, 1.2, 0.5], [9.2, 1.8, 1.1], [8.9, 9.1, 0.7], [1.1, 8.6, 1.4]])
+
+
+@pytest.mark.parametrize("axis, scale", [(0, 1e150), (0, 1e200), (1, 1e200)])
+def test_check_configuration_rejects_a_survey_stretched_along_an_axis(axis, scale):
+    # stretched by 1e150 the scatter is finite (about 6.6e301) but its squares
+    # are not; by 1e200 the scatter itself overflows, and along y LAPACK
+    # would not converge on it
+    lmap = _survey(_CORNERS * np.where(np.arange(3) == axis, scale, 1.0))
+    with np.errstate(over="ignore"):
+        scatter = lmap._observed(lmap.ids)[4]
+        rep = check_configuration(lmap)
+    assert np.isfinite(scatter).all() == (scale == 1e150)
+    assert not rep.ok
+    assert rep.reason == COLLINEAR
 
 
 def _weighted_scatter(lmap):
