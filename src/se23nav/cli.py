@@ -25,14 +25,13 @@ import numpy as np
 
 from . import dataio
 from .liegroup import NavState, NavTangent, rodrigues_exp, se23_exp
-from .measurement import InsufficientLandmarks, UnknownLandmarkId, check_configuration
+from .measurement import InsufficientLandmarks, UnknownLandmarkId
 from .observer import (MATRIX, QUATERNION, ModeError, NonFiniteState,
                        ObserverState, inject_w_omega_sign_fault, predict)
 from .quaternion import NonUnitQuaternion, quat_from_rotvec, quat_to_rot
-from .simulator import (ATT_CONVERGED, _engine_kwargs, apply_init_error,
-                        build_streams, default_landmark_map, default_scenario,
-                        hover_scenario, run_closed_loop, run_scenario,
-                        summarize)
+from .simulator import (ATT_CONVERGED, _run_streams, build_streams,
+                        default_landmark_map, default_scenario, hover_scenario,
+                        run_scenario, summarize)
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -83,12 +82,11 @@ def _series_name(cfg: dataio.RunConfig, mode: str, stem: str = "metrics",
 
 def _print_mode_summary(mode: str, result) -> None:
     info = summarize(result)
-    last = result.final
-    print(f"mode {mode}: {len(result)} metric rows")
-    print(f"  attitude distance {result.initial.att:.6g} -> {last.att:.6g}")
-    print(f"  position error    {result.initial.pos:.6g} -> {last.pos:.6g} m")
-    print(f"  velocity error    {result.initial.vel:.6g} -> {last.vel:.6g} m/s")
-    print(f"  gravity error     {last.grav:.6g} m/s^2")
+    print(f"mode {mode}: {info['samples']} metric rows")
+    print(f"  attitude distance {info['initial_att']:.6g} -> {info['final_att']:.6g}")
+    print(f"  position error    {info['initial_pos']:.6g} -> {info['final_pos']:.6g} m")
+    print(f"  velocity error    {info['initial_vel']:.6g} -> {info['final_vel']:.6g} m/s")
+    print(f"  gravity error     {info['final_grav']:.6g} m/s^2")
     t_conv = info["time_to_converge"]
     if t_conv is None:
         print("  attitude never dropped below the convergence threshold")
@@ -97,7 +95,7 @@ def _print_mode_summary(mode: str, result) -> None:
 
 
 def _print_estimate_summary(mode: str, result) -> None:
-    p, v = result.final.p_est, result.final.v_est
+    p, v = result.p_est[-1], result.v_est[-1]
     print(f"mode {mode}: no ground truth; {len(result)} estimate epochs")
     print(f"  final position  ({p[0]:.6g}, {p[1]:.6g}, {p[2]:.6g}) m")
     print(f"  final velocity  ({v[0]:.6g}, {v[1]:.6g}, {v[2]:.6g}) m/s")
@@ -124,13 +122,6 @@ def _load_map(cfg: dataio.RunConfig, config_path: str | None):
     return dataio.load_map_csv(base / cfg.map_file)
 
 
-def _require_usable_map(lmap) -> None:
-    report = check_configuration(lmap)
-    if not report.ok:
-        raise InsufficientLandmarks(
-            f"landmark configuration is unusable: {report.reason}")
-
-
 # Exit code of each anticipated failure, per phase of a run; first match wins.
 _CONFIG_FAILURES = (((dataio.ParseError, dataio.ValidationError), EXIT_CONFIG),
                     (OSError, EXIT_IO))
@@ -152,18 +143,17 @@ def _fail(error: Exception, table) -> int:
     raise error
 
 
-def _run_modes(cfg: dataio.RunConfig, scenario, truth, imu, observations,
-               init_nav, out: Path, replayed: bool) -> int:
-    """Run the engine once per configured gravity mode, then write each
-    run's series into ``out`` and print its summary; returns the exit code.
+def _run_modes(cfg: dataio.RunConfig, scenarios, truth, imu, observations,
+               out: Path, replayed: bool) -> int:
+    """Run the engine once per scenario (one per configured gravity mode), then
+    write each run's series into ``out`` and print its summary; returns the exit code.
 
     A run without truth writes estimates.  A replay writes the
     ``*_replay.csv`` series and compares each scored one byte for byte with
     the recorded series.  Nothing is written when a run fails.
     """
-    runs = [(mode, run_closed_loop(
-        truth, imu, observations, scenario.lmap, scenario.gains, init_nav,
-        **_engine_kwargs(replace(scenario, gravity_mode=mode)))) for mode in cfg.modes()]
+    runs = [(scn.gravity_mode, _run_streams(scn, truth, imu, observations))
+            for scn in scenarios]
     out.mkdir(parents=True, exist_ok=True)
     status = EXIT_OK
     for mode, result in runs:
@@ -215,13 +205,10 @@ def run_simulate(args) -> int:
         return _fail(e, _INPUT_FAILURES)
 
     try:
-        _require_usable_map(lmap)
-        scenario = dataio.config_to_scenario(cfg, lmap, gravity_mode=cfg.modes()[0])
-        truth, imu, observations = build_streams(scenario)
-        init_nav = apply_init_error(truth[0].nav(), scenario.init_error)
+        scenarios = dataio.config_scenarios(cfg, lmap)
+        truth, imu, observations = build_streams(scenarios[0])
         out = Path(args.out_dir)
-        status = _run_modes(cfg, scenario, truth, imu, observations, init_nav,
-                            out, replayed=False)
+        status = _run_modes(cfg, scenarios, truth, imu, observations, out, replayed=False)
         dataio.write_truth_csv(out / "truth.csv", truth)
         dataio.write_imu_csv(out / "imu.csv", imu)
         dataio.write_obs_csv(out / "obs.csv", observations)
@@ -249,20 +236,10 @@ def run_replay(args) -> int:
         return _fail(e, _INPUT_FAILURES)
 
     try:
-        _require_usable_map(lmap)
-        scenario = dataio.config_to_scenario(cfg, lmap, gravity_mode=cfg.modes()[0])
-        if truth:
-            start = truth[0]
-        else:
-            # Without recorded truth the initial estimate is rebuilt from the
-            # configuration: the configured trajectory pose at time zero,
-            # perturbed by the configured offset, exactly as the original run
-            # started.
-            start = build_streams(replace(scenario, duration=0.0))[0][0]
+        scenarios = dataio.config_scenarios(cfg, lmap)
+        if truth is None:
             print("no ground truth recorded; producing estimate-only output")
-        init_nav = apply_init_error(start.nav(), scenario.init_error)
-        return _run_modes(cfg, scenario, truth, imu, observations, init_nav,
-                          out, replayed=True)
+        return _run_modes(cfg, scenarios, truth, imu, observations, out, replayed=True)
     except Exception as e:
         return _fail(e, _RUN_FAILURES)
 
@@ -355,10 +332,10 @@ def _selftest_checks(quick: bool, inject: bool):
             _, _, _, res = run_scenario(scn)
     else:
         _, _, _, res = run_scenario(scn)
-    last = res.final
-    converged = last.att < ATT_CONVERGED and last.pos < 0.05 and last.vel < 0.05
+    att, pos, vel = (float(c[-1]) for c in (res.att, res.pos, res.vel))
+    converged = att < ATT_CONVERGED and pos < 0.05 and vel < 0.05
     yield ("closed-loop convergence", converged,
-           f"final att {last.att:.3e}, pos {last.pos:.3e}, vel {last.vel:.3e}")
+           f"final att {att:.3e}, pos {pos:.3e}, vel {vel:.3e}")
 
     r1 = run_scenario(scn)[3]
     r2 = run_scenario(scn)[3]

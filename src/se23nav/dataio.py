@@ -378,11 +378,6 @@ class RunConfig(RunSpec):
 
     map_file: str = ""
 
-    def modes(self) -> tuple:
-        if self.gravity_mode == BOTH_GRAVITY:
-            return (KNOWN_GRAVITY, ADAPTIVE_GRAVITY)
-        return (self.gravity_mode,)
-
 
 def _parse_triple(path, lineno, value: str) -> tuple:
     parts = value.split(",")
@@ -522,18 +517,20 @@ def write_config(path, cfg: RunConfig) -> None:
     _write_csv(path, "# closed-loop run configuration", lines)
 
 
-def config_to_scenario(cfg: RunConfig, lmap: LandmarkMap,
-                       gravity_mode: str | None = None) -> Scenario:
-    """Build a runnable scenario from a configuration and a landmark map.
+def config_scenarios(cfg: RunConfig, lmap: LandmarkMap) -> list[Scenario]:
+    """The runs a configuration asks for over a landmark map: one scenario per
+    gravity mode, known then adaptive when the configuration says ``both``.
 
-    ``gravity_mode`` selects the mode for this run; required when the
-    configuration says ``both``.
+    Raises :class:`~se23nav.measurement.InsufficientLandmarks` when
+    :func:`~se23nav.measurement.check_configuration` rejects the map.
     """
-    mode = gravity_mode if gravity_mode is not None else cfg.gravity_mode
-    if mode == BOTH_GRAVITY:
-        raise ValidationError("a single run needs a concrete gravity mode")
-    return Scenario(**{f.name: getattr(cfg, f.name) for f in fields(RunSpec)}
-                    | {"gravity_mode": mode}, lmap=lmap)
+    report = check_configuration(lmap)
+    if not report.ok:
+        raise InsufficientLandmarks(f"landmark configuration is unusable: {report.reason}")
+    modes = ((KNOWN_GRAVITY, ADAPTIVE_GRAVITY) if cfg.gravity_mode == BOTH_GRAVITY
+             else (cfg.gravity_mode,))
+    spec = {f.name: getattr(cfg, f.name) for f in fields(RunSpec)}
+    return [Scenario(**spec | {"gravity_mode": mode}, lmap=lmap) for mode in modes]
 
 
 def config_override(cfg: RunConfig, **values) -> RunConfig:

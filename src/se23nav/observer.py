@@ -300,9 +300,16 @@ def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
 
     The update is the exact flow of the piecewise-constant dynamics: the
     motion inputs act from the right, the gravity estimate from the left, so
-    with exact inputs a zero-error state stays at zero error.
+    with exact inputs a zero-error state stays at zero error.  A rotation
+    vector whose squared length is not finite raises :class:`NonFiniteState`
+    before any kernel runs, so no numpy warning is printed.
     """
-    rotvec = np.asarray(omega_m, dtype=float) * dt
+    dt = float(dt)
+    x, y, z = np.asarray(omega_m, dtype=float).tolist()
+    x, y, z = x * dt, y * dt, z * dt
+    if not math.isfinite(x * x + y * y + z * z):
+        raise NonFiniteState("observer state left the finite range")
+    rotvec = np.array([x, y, z])
     g0, g1, g2 = so3_gammas(rotvec)
     a = np.asarray(a_m, dtype=float)
     quat = state.quat

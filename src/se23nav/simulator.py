@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +41,7 @@ NS_PER_S = 1_000_000_000
 
 # The engine computes the input-only terms of this many steps at a time, so
 # their memory does not grow with the length of a run.
-_BLOCK = 1024
+_BLOCK = 256
 
 # Corrections for one epoch never account for more than this many seconds,
 # even when the previous epoch is older (gappy logs).
@@ -584,14 +584,18 @@ def build_streams(scn: Scenario):
     return TruthStream(t_ns, quats, pos, vel), ImuStream(t_ns, omegas, sf), observations
 
 
-def _engine_kwargs(scn: Scenario) -> dict:
-    """Keyword arguments of :func:`run_closed_loop` for one run of ``scn``."""
-    return dict(
-        gravity_mode=scn.gravity_mode,
-        g_ref=np.asarray(scn.g_ref, dtype=float),
-        representation=scn.representation,
-        obs_nominal_dt=1.0 / scn.obs_rate,
-        max_correction_dt=scn.max_correction_dt)
+def _run_streams(scn: Scenario, truth: TruthStream | None, imu: ImuStream,
+                 observations: Sequence[tuple[int, LandmarkObservation]]) -> RunResult:
+    """One engine run of ``scn`` over its streams, started at the scenario's
+    initial error from truth's first row or, without truth, from the first row
+    the scenario synthesizes, where the recorded run started."""
+    start = truth if truth is not None else build_streams(replace(scn, duration=0.0))[0]
+    x0 = NavState(quat_to_rot(start.quat[0]), start.pos[0], start.vel[0])
+    return run_closed_loop(
+        truth, imu, observations, scn.lmap, scn.gains,
+        apply_init_error(x0, scn.init_error), gravity_mode=scn.gravity_mode,
+        g_ref=np.asarray(scn.g_ref, dtype=float), representation=scn.representation,
+        obs_nominal_dt=1.0 / scn.obs_rate, max_correction_dt=scn.max_correction_dt)
 
 
 def run_scenario(scn: Scenario):
@@ -600,38 +604,29 @@ def run_scenario(scn: Scenario):
     Returns (truth, imu, observations, result).
     """
     truth, imu, observations = build_streams(scn)
-    init_nav = apply_init_error(truth[0].nav(), scn.init_error)
-    result = run_closed_loop(
-        truth, imu, observations, scn.lmap, scn.gains, init_nav,
-        **_engine_kwargs(scn))
-    return truth, imu, observations, result
+    return truth, imu, observations, _run_streams(scn, truth, imu, observations)
 
 
 ATT_CONVERGED = 0.01
 
 
 def summarize(result: RunResult) -> dict:
-    """Run summary: initial and final errors, the time the attitude error
-    first dropped below :data:`ATT_CONVERGED`, and per-metric mean-square
-    values over the last fifth of the run."""
-    n = len(result)
-    if result.initial is None:
-        fs = result.final_state
-        return {"samples": n, "sigma_hat": fs.sigma_hat.tolist(),
-                "g_hat": fs.g_hat.tolist()}
-    last = result.final
-    below = np.flatnonzero(result.att < ATT_CONVERGED)
-    tail = slice(-max(1, n // 5), None)
-    return {
-        "samples": n,
-        **{f"initial_{name}": getattr(result.initial, name) for name in ("att", "pos", "vel")},
-        **{f"final_{name}": getattr(last, name) for name in ("att", "pos", "vel", "grav")},
-        "time_to_converge": int(result.t_ns[below[0]]) / NS_PER_S if below.size else None,
-        "steady_state_ms": {name: float(np.mean(getattr(result, name)[tail] ** 2))
-                            for name in ("att", "pos", "vel", "grav")},
-        "sigma_hat": last.sigma.tolist(),
-        "g_hat": last.g_hat.tolist(),
-    }
+    """Run summary from the record's columns: initial errors (engine runs with
+    truth), final errors, the time the attitude error first dropped below
+    :data:`ATT_CONVERGED` and per-metric mean-square values over the last fifth
+    of the run (records with error columns), and the last adapted quantities."""
+    n, errors = len(result), ("att", "pos", "vel", "grav")
+    info: dict = {"samples": n}
+    if result.initial is not None:
+        info |= {f"initial_{name}": getattr(result.initial, name) for name in errors[:3]}
+    if result.att is not None:
+        below = np.flatnonzero(result.att < ATT_CONVERGED)
+        tail = slice(-max(1, n // 5), None)
+        info |= {f"final_{name}": float(getattr(result, name)[-1]) for name in errors}
+        info["time_to_converge"] = int(result.t_ns[below[0]]) / NS_PER_S if below.size else None
+        info["steady_state_ms"] = {name: float(np.mean(getattr(result, name)[tail] ** 2))
+                                   for name in errors}
+    return info | {"sigma_hat": result.sigma[-1].tolist(), "g_hat": result.g_hat[-1].tolist()}
 
 
 # Landmark layout of the reference experiment: four low corner beacons and

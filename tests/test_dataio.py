@@ -11,20 +11,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from se23nav import (Gains, InitError, InsufficientLandmarks,
-                     LandmarkObservation, NoiseSpec, TrajectorySpec,
-                     UnknownLandmarkId, check_configuration, dataio)
+from se23nav import (ADAPTIVE_GRAVITY, Gains, InitError, InsufficientLandmarks,
+                     LandmarkMap, LandmarkObservation, NoiseSpec, TrajectorySpec,
+                     UnknownLandmarkId, check_configuration, dataio, run_scenario,
+                     summarize)
 from se23nav.dataio import (BOTH_GRAVITY, ESTIMATES_HEADER, IMU_HEADER, MAP_HEADER,
                             METRICS_HEADER, OBS_HEADER, TRUTH_HEADER,
                             EmptyStream, NonMonotonicTime, ParseError,
                             RunConfig, ValidationError, align,
-                            config_override, config_to_scenario,
+                            config_override, config_scenarios,
                             load_estimates_csv, load_imu_csv, load_landmarks,
                             load_map_csv, load_metrics_csv, load_obs_csv,
                             load_truth_csv, parse_config, write_config,
                             write_estimates_csv, write_imu_csv, write_map_csv,
                             write_metrics_csv, write_obs_csv, write_truth_csv)
-from se23nav.simulator import (ImuStream, RunResult, TruthStream,
+from se23nav.simulator import (ImuStream, RunResult, TruthStream, _run_streams,
                                default_landmark_map, default_scenario)
 
 AWKWARD = [math.pi, 1.0 / 3.0, -2.5e-7, 9.81, -1.0, 0.0]
@@ -155,6 +156,27 @@ def test_metrics_and_estimates_roundtrip(tmp_path):
     from_scored = load_estimates_csv(e)
     assert [r.t_ns for r in from_scored] == [r.t_ns for r in rows]
     assert np.array_equal(from_scored[1].p_est, rows[1].p_est)
+
+
+def test_summarize_reads_a_loaded_record(tmp_path):
+    # a record read from a file has no initial errors and no final state: its
+    # summary is that of the run it records, less the initial errors
+    scn = dataclasses.replace(default_scenario(ADAPTIVE_GRAVITY, noisy=True, seed=3),
+                              duration=2.0)
+    truth, imu, observations, run = run_scenario(scn)
+    write_metrics_csv(tmp_path / "metrics.csv", run)
+    want = {k: v for k, v in summarize(run).items() if not k.startswith("initial_")}
+    assert list(want) == ["samples", "final_att", "final_pos", "final_vel", "final_grav",
+                          "time_to_converge", "steady_state_ms", "sigma_hat", "g_hat"]
+    assert summarize(load_metrics_csv(tmp_path / "metrics.csv")) == want
+
+    # without truth the last row holds the final state's adapted quantities
+    unscored = _run_streams(scn, None, imu, observations)
+    fs = unscored.final_state
+    assert summarize(unscored) == {"samples": len(imu), "sigma_hat": fs.sigma_hat.tolist(),
+                                   "g_hat": fs.g_hat.tolist()}
+    write_estimates_csv(tmp_path / "estimates.csv", unscored)
+    assert summarize(load_estimates_csv(tmp_path / "estimates.csv")) == summarize(unscored)
 
 
 def test_parse_errors_carry_path_and_line(tmp_path):
@@ -407,8 +429,9 @@ def test_config_roundtrip_default_and_waypoints(tmp_path):
     write_config(p, wp)
     back = parse_config(p)
     assert back == wp
-    assert back.modes() == ("known", "adaptive")
-    assert RunConfig().modes() == ("known",)
+    lmap = default_landmark_map()
+    assert [s.gravity_mode for s in config_scenarios(back, lmap)] == ["known", "adaptive"]
+    assert [s.gravity_mode for s in config_scenarios(RunConfig(), lmap)] == ["known"]
 
     # every key away from its default, so each key's value shape round-trips
     every = config_override(
@@ -550,11 +573,11 @@ def test_config_validation_rules(tmp_path):
         assert needle in str(ei.value), line
 
 
-def test_config_to_scenario_and_override():
+def test_config_scenarios_and_override():
     cfg = RunConfig(duration=2.0, gains=Gains(k_w=4.0),
                     noise=NoiseSpec(std_omega=0.12, std_accel=0.11, seed=5))
     lmap = default_landmark_map()
-    scn = config_to_scenario(cfg, lmap)
+    [scn] = config_scenarios(cfg, lmap)
     assert scn.duration == 2.0
     assert scn.gains.k_w == 4.0
     assert scn.noise.seed == 5
@@ -562,18 +585,24 @@ def test_config_to_scenario_and_override():
     assert scn.gravity_mode == "known"
     assert_allclose(scn.init_error.pos, (3.0, -2.0, 1.0), atol=0)
     # the default configuration is the reference experiment
-    got = config_to_scenario(RunConfig(), lmap)
+    [got] = config_scenarios(RunConfig(), lmap)
     ref = default_scenario()
     for name in ("trajectory", "gains", "init_error", "duration", "imu_rate",
                  "obs_rate", "gravity_mode", "g_ref", "noise",
                  "max_correction_dt"):
         assert getattr(got, name) == getattr(ref, name), name
 
-    both = dataclasses.replace(cfg, gravity_mode=BOTH_GRAVITY)
-    with pytest.raises(ValidationError):
-        config_to_scenario(both, lmap)
-    assert config_to_scenario(both, lmap, gravity_mode="adaptive").gravity_mode \
-        == "adaptive"
+    # ``both`` is one run per mode, known first, otherwise alike
+    both = config_scenarios(dataclasses.replace(cfg, gravity_mode=BOTH_GRAVITY), lmap)
+    assert [s.gravity_mode for s in both] == ["known", "adaptive"]
+    assert both[0] == scn
+    assert both[1] == dataclasses.replace(scn, gravity_mode="adaptive")
+    # a survey that check_configuration rejects makes no run
+    line = LandmarkMap(ids=np.arange(4), positions=np.outer(np.arange(4.0), (1.0, 2.0, 3.0)),
+                       weights=np.ones(4))
+    assert not check_configuration(line).ok
+    with pytest.raises(InsufficientLandmarks, match="landmark configuration is unusable: "):
+        config_scenarios(cfg, line)
 
     with pytest.raises(ValidationError):
         config_override(cfg, duration=-1.0)

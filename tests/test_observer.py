@@ -21,7 +21,8 @@ from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
                      so3_distance, synthesize_observation)
 from se23nav.liegroup import skew
 from se23nav.measurement import MeasurementSummary
-from se23nav.observer import inject_w_omega_sign_fault, warn_if_unstable
+from se23nav.observer import (REORTHO_EVERY, _advance, _motion_rows,
+                              inject_w_omega_sign_fault, warn_if_unstable)
 
 
 def _norm_map(rng, n=6):
@@ -217,6 +218,28 @@ def test_attitude_stays_orthonormal_over_long_runs():
     assert st.steps == 5500
 
 
+def test_attitude_stays_orthonormal_over_a_million_steps():
+    # the engine's law, fed its inputs a window at a time: seeded rates and
+    # forces U(-3, 3) at 200 Hz; the attitude is checked on the last step
+    # before each re-orthonormalization, where a matrix has drifted furthest
+    dt, n = 1.0 / 200.0, 1_000_000
+    for quaternion in (False, True):
+        rng = np.random.default_rng(25)
+        r, p, v, g = np.eye(3).ravel().tolist(), [0.0] * 3, [0.0] * 3, GRAVITY_ENU.tolist()
+        quat = [1.0, 0.0, 0.0, 0.0] if quaternion else None
+        worst = 0.0
+        for start in range(0, n, REORTHO_EVERY):
+            turns, g12as = _motion_rows(rng.uniform(-3.0, 3.0, (REORTHO_EVERY, 3)),
+                                        rng.uniform(-3.0, 3.0, (REORTHO_EVERY, 3)),
+                                        [dt] * REORTHO_EVERY, quaternion)
+            for i, (turn, g12a) in enumerate(zip(turns, g12as), start + 1):
+                if i % REORTHO_EVERY == 0:
+                    m = np.reshape(r, (3, 3))
+                    worst = max(worst, float(np.abs(m @ m.T - np.eye(3)).max()))
+                r, p, v, quat = _advance(r, p, v, g, quat, i, turn, g12a, dt)
+        assert worst < 1e-9, (quaternion, worst)
+
+
 def test_non_finite_inputs_are_rejected():
     st = _state()
     with np.errstate(invalid="ignore"):
@@ -230,6 +253,18 @@ def test_non_finite_inputs_are_rejected():
         st = ObserverState.create(NavState.identity(), representation=rep)
         with pytest.raises(NonFiniteState):
             predict(st, omega, np.zeros(3), 0.01)
+
+
+@pytest.mark.parametrize("representation", (MATRIX, QUATERNION))
+@pytest.mark.parametrize("rate", (1e200, math.inf))
+def test_an_overflowing_rate_raises_without_a_warning(representation, rate):
+    # the squared rotation angle leaves the float range: predict raises
+    # before so3_gammas or quat_from_rotvec could warn
+    st = ObserverState.create(NavState.identity(), representation=representation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState, match="observer state left the finite range"):
+            predict(st, np.array([rate, 0.0, 0.0]), np.zeros(3), 1.0)
 
 
 def test_create_modes_and_guards():
