@@ -7,8 +7,8 @@ per-axis bound on the rate-noise covariance, and can estimate gravity
 online when it is not known.
 """
 
-from .liegroup import (NavState, NavTangent, nav_error, rodrigues_exp,
-                       se23_exp, skew, so3_distance, so3_gammas, vex_antisym)
+from .liegroup import (NavState, NavTangent, se23_exp, skew, so3_distance,
+                       so3_gammas, vex_antisym)
 from .measurement import (ConfigReport, InsufficientLandmarks, LandmarkMap,
                           LandmarkObservation, MeasurementSummary,
                           UnknownLandmarkId, aggregate, check_configuration,
@@ -16,11 +16,9 @@ from .measurement import (ConfigReport, InsufficientLandmarks, LandmarkMap,
 from .observer import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
                        QUATERNION, Correction, Gains, Metrics, ModeError,
                        NonFiniteState, ObserverState, UnstableSetWarning,
-                       compute_corrections, correct, correct_quaternion,
-                       error_metrics, gravity_step, predict,
-                       predict_quaternion, sigma_step)
-from .quaternion import (NonUnitQuaternion, quat_from_rotvec, quat_product,
-                         quat_to_rot, rot_to_quat)
+                       compute_corrections, correct, error_metrics,
+                       gravity_step, predict, sigma_step)
+from .quaternion import NonUnitQuaternion, quat_from_rotvec, quat_to_rot, rot_to_quat
 from .simulator import (ImuSample, ImuStream, InitError, NoiseSpec, RunResult,
                         Scenario, TrajectorySpec, TruthSample, TruthStream,
                         apply_init_error, build_streams, default_landmark_map,
@@ -38,11 +36,10 @@ __all__ = [
     "RunResult", "Scenario", "TrajectorySpec",
     "TruthSample", "TruthStream", "UnknownLandmarkId", "UnstableSetWarning", "aggregate",
     "apply_init_error", "build_streams", "check_configuration",
-    "compute_corrections", "correct", "correct_quaternion",
-    "default_landmark_map", "default_scenario", "error_metrics",
-    "gravity_step", "hover_scenario", "nav_error", "predict",
-    "predict_quaternion", "quat_from_rotvec", "quat_product", "quat_to_rot",
-    "rodrigues_exp", "rot_to_quat", "run_closed_loop", "run_scenario",
+    "compute_corrections", "correct", "default_landmark_map",
+    "default_scenario", "error_metrics", "gravity_step", "hover_scenario",
+    "predict", "quat_from_rotvec", "quat_to_rot", "rot_to_quat",
+    "run_closed_loop", "run_scenario",
     "se23_exp", "sigma_step", "skew", "so3_distance",
     "so3_gammas", "summarize",
     "synthesize_observation", "vex_antisym",

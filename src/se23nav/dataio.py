@@ -200,10 +200,8 @@ class _Table:
 
 def _repeats(*keys) -> np.ndarray:
     """True at each record whose ``keys`` an earlier record has."""
-    order = np.lexsort(keys[::-1])  # stable: equal keys keep file order
-    same = np.logical_and.reduce([k[order][1:] == k[order][:-1] for k in keys])
-    out = np.zeros(order.size, bool)
-    out[order[1:][same]] = True
+    out = np.ones(keys[0].size, bool)
+    out[np.unique(np.stack(keys, axis=1), axis=0, return_index=True)[1]] = False
     return out
 
 

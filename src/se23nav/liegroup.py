@@ -204,7 +204,7 @@ def _so3_gammas_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         theta = np.sqrt(np.vecdot(w, w))
         o = np.zeros_like(theta)
         s = np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(theta.shape + (3, 3))
-        s2 = np.moveaxis(s @ s, (-2, -1), (0, 1))
+        s2 = s @ s
         t3 = np.array([_cube(t) for t in theta.ravel().tolist()]).reshape(theta.shape)
         t2 = theta * theta
         small = theta < SMALL_ANGLE
@@ -217,15 +217,9 @@ def _so3_gammas_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         c3 = np.where(series, 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0
                       - t2 * t2 * t2 / 3628800.0,
                       (0.5 * theta * theta + np.cos(theta) - 1.0) / (t3 * theta))
-        # (3, 3, ...) entries to C-ordered (..., 3, 3) stacks
-        return tuple(np.ascontiguousarray(np.moveaxis(
-            _skew_quadratic(d, ca, cb, (x, y, z), s2), (0, 1), (-2, -1)))
-            for d, ca, cb in ((1.0, c0, c1), (1.0, c1, c2), (0.5, c2, c3)))
-
-
-def rodrigues_exp(omega: np.ndarray) -> np.ndarray:
-    """Rotation matrix ``exp(skew(omega))`` by the Rodrigues formula."""
-    return so3_gammas(omega)[0]
+        # _skew_quadratic's sums: d * 0.0 is +0.0 and d + ca * 0.0 is d
+        return tuple(d * np.eye(3) + ca[..., None, None] * s + cb[..., None, None] * s2
+                     for d, ca, cb in ((1.0, c0, c1), (1.0, c1, c2), (0.5, c2, c3)))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ GRAVITY_ENU = np.array([0.0, 0.0, -9.81])
 # Attitude block is re-orthonormalized after this many propagation steps.
 REORTHO_EVERY = 1000
 
+_LOG_MAX = math.log(np.finfo(float).max)  # np.exp overflows above this
+
 # Half-turn initialization detector: |trace(r_err) + 1| below this warns.
 UNSTABLE_TRACE_TOL = 1e-6
 
@@ -186,6 +188,8 @@ def compute_corrections(summary: MeasurementSummary, state: ObserverState,
     Returns
     -------
     Correction
+
+    Raises :class:`NonFiniteState` where ``exp(att_dist)`` would overflow.
     """
     rhat = np.ascontiguousarray(state.nav.r)
     ups = vex_antisym(summary.scatter_err)
@@ -201,6 +205,8 @@ def compute_corrections(summary: MeasurementSummary, state: ObserverState,
     w_vel = [c - gains.k_v * e
              for c, e in zip(_cross(summary.centroid.tolist(), w_omega), inn)]
     w_acc = [-g - gains.k_a * e for g, e in zip(state.g_hat.tolist(), inn)]
+    if d > _LOG_MAX:
+        raise NonFiniteState("observer state left the finite range")
     k_adapt = gains.gamma_sigma * (d + 2.0) / 8.0 * float(np.exp(d))
     return Correction(w_omega=np.array(w_omega), w_vel=np.array(w_vel),
                       w_acc=np.array(w_acc), k_adapt=k_adapt, body_axis=r_ups)
@@ -301,17 +307,17 @@ def predict(state: ObserverState, omega_m: np.ndarray, a_m: np.ndarray,
     The update is the exact flow of the piecewise-constant dynamics: the
     motion inputs act from the right, the gravity estimate from the left, so
     with exact inputs a zero-error state stays at zero error.  A rotation
-    vector whose squared length is not finite raises :class:`NonFiniteState`
-    before any kernel runs, so no numpy warning is printed.
+    vector of non-finite squared length, or a non-finite specific force, raises
+    :class:`NonFiniteState` before any kernel runs, so no numpy warning is printed.
     """
     dt = float(dt)
     x, y, z = np.asarray(omega_m, dtype=float).tolist()
     x, y, z = x * dt, y * dt, z * dt
-    if not math.isfinite(x * x + y * y + z * z):
+    a = np.asarray(a_m, dtype=float)
+    if not all(map(math.isfinite, [x * x + y * y + z * z, *a.tolist()])):
         raise NonFiniteState("observer state left the finite range")
     rotvec = np.array([x, y, z])
     g0, g1, g2 = so3_gammas(rotvec)
-    a = np.asarray(a_m, dtype=float)
     quat = state.quat
     turn = g0 if quat is None else quat_from_rotvec(rotvec)
     steps = state.steps + 1
@@ -339,7 +345,10 @@ def correct(state: ObserverState, lmap: LandmarkMap, obs: LandmarkObservation,
     g_hat = state.g_hat
     if state.gravity_mode == ADAPTIVE_GRAVITY:
         g_hat = gravity_step(state, corr, summary, gains, dt)
-    rotvec = np.array([-c * dt for c in corr.w_omega.tolist()])
+    x, y, z = [-c * dt for c in corr.w_omega.tolist()]
+    if not math.isfinite(x * x + y * y + z * z):  # the rule of predict
+        raise NonFiniteState("observer state left the finite range")
+    rotvec = np.array([x, y, z])
     g0c, g1c, _ = so3_gammas(rotvec)
     # the attitude turns by exp(rotvec) from the left; p and v turn with it
     if state.quat is None:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .liegroup import NavState, rodrigues_exp
+from .liegroup import NavState, so3_gammas
 from .measurement import LandmarkMap, LandmarkObservation, synthesize_observation
 # The engine runs ``_advance``, the law of ``predict``, on a flat state.
 # ``predict`` stays imported all the same: ``bench/test_bench.py`` checks that
@@ -322,7 +322,7 @@ class InitError:
 
     def as_nav(self) -> NavState:
         ax = np.asarray(self.axis, dtype=float)
-        r = rodrigues_exp(ax / np.linalg.norm(ax) * self.angle)
+        r = so3_gammas(ax / np.linalg.norm(ax) * self.angle)[0]
         return NavState(r, np.asarray(self.pos, dtype=float),
                         np.asarray(self.vel, dtype=float))
 

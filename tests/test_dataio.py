@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from se23nav import (ADAPTIVE_GRAVITY, Gains, InitError, InsufficientLandmarks,
@@ -310,6 +312,19 @@ def test_parse_errors_carry_path_and_line(tmp_path):
     with pytest.raises(OSError) as ei:
         load_imu_csv(tmp_path / "missing.csv")
     assert "cannot read" in str(ei.value)
+
+
+# a few values drawn often, so that keys repeat, and the whole range the
+# int64 key columns hold
+_KEY = st.sampled_from([0, 1, -1, 2 ** 62, -2 ** 62]) | st.integers(-2 ** 62, 2 ** 62)
+
+
+@given(st.integers(1, 2).flatmap(
+    lambda k: st.lists(st.tuples(*[_KEY] * k), min_size=1, max_size=40)))
+def test_repeats_flags_each_record_whose_keys_an_earlier_one_has(records):
+    keys = [np.array(col, np.int64) for col in zip(*records)]
+    want = [rec in records[:i] for i, rec in enumerate(records)]
+    assert dataio._repeats(*keys).tolist() == want
 
 
 def test_loaders_leave_no_reference_cycle(tmp_path):

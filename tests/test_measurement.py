@@ -11,7 +11,7 @@ from conftest import random_rotation
 from se23nav import (InsufficientLandmarks, LandmarkMap, LandmarkObservation,
                      NavState, Scenario, UnknownLandmarkId, aggregate,
                      check_configuration, default_landmark_map, default_scenario,
-                     rodrigues_exp, synthesize_observation)
+                     so3_gammas, synthesize_observation)
 
 
 def _random_map(rng, n=5):
@@ -134,7 +134,7 @@ def test_att_dist_matches_ground_truth_attitude_error():
         assert abs(out.att_dist - direct) < 1e-12
     # half-turn estimate: the distance is strictly positive and still exact
     x = _random_nav(rng)
-    xh = NavState(x.r @ rodrigues_exp(np.array([0.0, 0.0, np.pi])), x.p, x.v)
+    xh = NavState(x.r @ so3_gammas(np.array([0.0, 0.0, np.pi]))[0], x.p, x.v)
     lmap = _random_map(rng)
     obs = synthesize_observation(x, lmap)
     out = aggregate(lmap, obs, xh.r, xh.p)

@@ -13,13 +13,12 @@ from numpy.testing import assert_allclose
 from conftest import random_rotation, rk4_pose
 
 from se23nav import (ADAPTIVE_GRAVITY, GRAVITY_ENU, KNOWN_GRAVITY, MATRIX,
-                     QUATERNION, Gains, LandmarkMap, ModeError, NavState,
-                     NonFiniteState, ObserverState, UnstableSetWarning,
-                     compute_corrections, correct, correct_quaternion,
-                     error_metrics, gravity_step, nav_error, predict,
-                     predict_quaternion, quat_to_rot, rodrigues_exp, sigma_step,
-                     so3_distance, synthesize_observation)
-from se23nav.liegroup import skew
+                     QUATERNION, Gains, LandmarkMap, LandmarkObservation, ModeError,
+                     NavState, NonFiniteState, ObserverState, UnstableSetWarning,
+                     compute_corrections, correct, default_landmark_map,
+                     error_metrics, gravity_step, predict, quat_to_rot, sigma_step,
+                     so3_distance, so3_gammas, synthesize_observation)
+from se23nav.liegroup import nav_error, skew
 from se23nav.measurement import MeasurementSummary
 from se23nav.observer import (REORTHO_EVERY, _advance, _motion_rows,
                               inject_w_omega_sign_fault, warn_if_unstable)
@@ -242,11 +241,10 @@ def test_attitude_stays_orthonormal_over_a_million_steps():
 
 def test_non_finite_inputs_are_rejected():
     st = _state()
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(NonFiniteState):
-            predict(st, np.zeros(3), np.array([np.inf, 0.0, 0.0]), 0.01)
-        with pytest.raises(NonFiniteState):
-            predict(st, np.array([np.nan, 0.0, 0.0]), np.zeros(3), 0.01)
+    with pytest.raises(NonFiniteState):
+        predict(st, np.zeros(3), np.array([np.inf, 0.0, 0.0]), 0.01)
+    with pytest.raises(NonFiniteState):
+        predict(st, np.array([np.nan, 0.0, 0.0]), np.zeros(3), 0.01)
     # |omega dt| near 1e104 overflows the cube in the rotation integrals
     omega = np.array([1e106, 0.0, 0.0])
     for rep in (MATRIX, QUATERNION):
@@ -265,6 +263,27 @@ def test_an_overflowing_rate_raises_without_a_warning(representation, rate):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteState, match="observer state left the finite range"):
             predict(st, np.array([rate, 0.0, 0.0]), np.zeros(3), 1.0)
+
+
+@pytest.mark.parametrize("representation", (MATRIX, QUATERNION))
+@pytest.mark.parametrize("reading, gains", [(1e100, Gains()), (1e150, Gains()),
+                                            (1e200, Gains()), (1e300, Gains()),
+                                            (-1e300, Gains()), (None, Gains(k_w=1e160))])
+def test_hostile_readings_and_gains_raise_without_a_warning(representation, reading, gains):
+    # finite readings that obs.csv admits, or a huge gain: the adaptation
+    # gain's exp or the correction's rotation would overflow, and correct
+    # raises before np.exp or so3_gammas could warn
+    lmap = default_landmark_map()
+    obs = synthesize_observation(NavState.identity(), lmap)
+    if reading is not None:
+        obs = LandmarkObservation(obs.ids, np.full(obs.points.shape, reading))
+    nav = NavState(so3_gammas(np.array([0.3, -0.2, 1.0]))[0], np.array([1.0, -2.0, 0.5]),
+                   np.array([0.1, 0.2, 0.3]))
+    st = ObserverState.create(nav, representation=representation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState, match="observer state left the finite range"):
+            correct(st, lmap, obs, gains, 0.02)
 
 
 def test_create_modes_and_guards():
@@ -290,7 +309,7 @@ def test_gains_must_be_positive():
 
 
 def test_error_metrics_hand_values():
-    r = rodrigues_exp(np.array([0.0, 0.0, np.pi / 2]))
+    r = so3_gammas(np.array([0.0, 0.0, np.pi / 2]))[0]
     x = NavState(r, np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, 0.0]))
     st = _state(r=r.copy(), p=[1.0, 2.0, 2.0], v=[0.5, 0.0, -1.0])
     m = error_metrics(x, st)
@@ -300,7 +319,7 @@ def test_error_metrics_hand_values():
     assert m.grav < 1e-12
     # a half-turn attitude error saturates the distance at one; the group
     # error mixes the rotation error into the position component
-    st2 = _state(r=r @ rodrigues_exp(np.array([0.0, 0.0, np.pi])),
+    st2 = _state(r=r @ so3_gammas(np.array([0.0, 0.0, np.pi]))[0],
                  p=x.p, v=x.v)
     m2 = error_metrics(x, st2)
     assert abs(m2.att - 1.0) < 1e-12
@@ -322,9 +341,9 @@ def test_unstable_set_detection():
     rng = np.random.default_rng(46)
     for _ in range(20):
         assert not _on_unstable_set(random_rotation(rng))
-    near = rodrigues_exp(np.array([0.0, np.pi - 1e-2, 0.0]))
+    near = so3_gammas(np.array([0.0, np.pi - 1e-2, 0.0]))[0]
     assert not _on_unstable_set(near)
-    exact = rodrigues_exp(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0) * np.pi)
+    exact = so3_gammas(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0) * np.pi)[0]
     assert _on_unstable_set(exact)
     with pytest.warns(UnstableSetWarning):
         assert warn_if_unstable(exact)
@@ -365,7 +384,7 @@ def test_quaternion_predict_mirrors_matrix_predict():
         qs = _quaternion_state(st)
         omega, sf = rng.normal(size=3), rng.normal(size=3) * 2
         _assert_states_match(predict(st, omega, sf, 0.02),
-                             predict_quaternion(qs, omega, sf, 0.02), 1e-12)
+                             predict(qs, omega, sf, 0.02), 1e-12)
 
 
 def test_quaternion_correct_mirrors_matrix():
@@ -379,7 +398,7 @@ def test_quaternion_correct_mirrors_matrix():
             st = _random_full_state(rng, mode)
             qs = _quaternion_state(st)
             _assert_states_match(correct(st, lmap, obs, Gains(), 0.05),
-                                 correct_quaternion(qs, lmap, obs, Gains(), 0.05),
+                                 correct(qs, lmap, obs, Gains(), 0.05),
                                  1e-11)
 
 
@@ -391,8 +410,8 @@ def test_quaternion_prediction_reaches_known_endpoint():
                               g_ref=np.zeros(3), representation=QUATERNION)
     omega = np.array([0.0, 0.0, np.pi / 2.0])
     for _ in range(1000):
-        qs = predict_quaternion(qs, omega, np.zeros(3), 1e-3)
-    target = rodrigues_exp(np.array([0.0, 0.0, np.pi / 2.0]))
+        qs = predict(qs, omega, np.zeros(3), 1e-3)
+    target = so3_gammas(np.array([0.0, 0.0, np.pi / 2.0]))[0]
     assert so3_distance(quat_to_rot(qs.quat) @ target.T) < 1e-12
     assert_allclose(qs.nav.p, [1.0, 0.0, 0.0], atol=1e-9)
     assert abs(np.linalg.norm(qs.quat) - 1.0) < 1e-14
